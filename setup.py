@@ -7,12 +7,12 @@ offline environments may lack it.  `python setup.py develop` (or adding
 
 The `_native` extension (`repro.backend.native._native`) is declared
 ``optional``: a missing compiler turns the build step into a no-op
-instead of a failed install, and the backend falls back to the numpy
-engine at runtime (see `repro/backend/native/build.py`, which can also
-compile the one-file extension lazily into a user cache).  Installing
-with the ``[native]`` extra is just the documented way of saying "I
-want the compiled epilogue baked into site-packages"; the extra pulls
-no extra dependencies.
+instead of a failed install, and the backend falls back to the python
+reference loop at runtime (see `repro/backend/native/build.py`, which
+can also compile the one-file extension lazily into a user cache).
+Installing with the ``[native]`` extra is just the documented way of
+saying "I want the compiled core loop baked into site-packages"; the
+extra pulls no extra dependencies.
 """
 import os
 

@@ -9,16 +9,14 @@ implementation for a run from ``SimulationConfig.backend``, the
     the reference interpreted loop (:mod:`repro.cpu.core` +
     :mod:`repro.memory` — the PR 3 engine path, frozen by the golden
     corpus and the 156-run oracle);
-``numpy``
-    the batch-stepping engine (:mod:`repro.backend.vector`): trace
-    planes precomputed as ndarrays, hit runs stepped in batches, a
-    scalar epilogue for misses/prefetch/MSHR events — bit-identical to
-    ``python`` by contract and by differential test.
 ``native``
-    the numpy batch path with the scalar epilogue compiled to C
-    (:mod:`repro.backend.native`); requires the ``_native`` extension
-    (built on demand, or via ``pip install .[native]``) and falls back
-    to ``numpy`` with a once-per-process warning when it is missing.
+    the same loop compiled to C (:mod:`repro.backend.native`): each
+    span between probe marks runs as one C call, bit-identical to
+    ``python`` by contract and by differential test.  It needs the
+    ``_native`` extension (built on demand, or via ``pip install
+    .[native]``) and falls back to the reference loop, with a
+    once-per-process warning, when the extension is missing or the
+    configuration is one the C loop does not model.
 """
 
 from __future__ import annotations
@@ -34,13 +32,11 @@ from repro.backend.base import (
 )
 from repro.backend.native import NativeBackend
 from repro.backend.python import PythonBackend
-from repro.backend.vector import NumpyBackend
 
 __all__ = [
     "BACKEND_ENV",
     "Backend",
     "NativeBackend",
-    "NumpyBackend",
     "PythonBackend",
     "available_backends",
     "backend_name",
@@ -50,5 +46,4 @@ __all__ = [
 ]
 
 register_backend("python", PythonBackend)
-register_backend("numpy", NumpyBackend)
 register_backend("native", NativeBackend)

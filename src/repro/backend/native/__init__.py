@@ -1,20 +1,19 @@
-"""The compiled-epilogue backend (``--backend native``).
+"""The compiled backend (``--backend native``).
 
 :class:`NativeBackend` routes a run to :class:`~repro.backend.native.
-engine.NativeCore` — the numpy engine's batch path with the scalar
-epilogue compiled to C (:mod:`repro.backend.native._native`).  It
-degrades loudly-but-gracefully, in two tiers:
+engine.NativeCore`, which hands each span of the trace between probe
+marks to the C core loop in :mod:`repro.backend.native._native` as one
+range.  Whenever that loop cannot run, the backend falls back to the
+reference interpreted loop (:class:`repro.cpu.OutOfOrderCore`):
 
-* configurations the batch model cannot represent (set-associative
-  L1D, access-stream prefetchers, gated L1 promotions, direct-mapped
-  L2) fall back to the reference interpreted loop — the same config-
-  level fallback the numpy backend takes;
+* for configurations the C loop does not model: a set-associative L1D,
+  prefetchers that observe the access stream (DBCP), gated L1
+  promotions (the hybrid), a direct-mapped L2;
 * when the ``_native`` extension cannot be imported or built (no C
-  compiler, ``REPRO_NATIVE=0``, a failed compile), the run falls back
-  to the numpy batch engine, so a pure-Python install keeps working
-  everywhere at numpy speed.
+  compiler, ``REPRO_NATIVE=0``, a failed compile), so a pure-Python
+  install keeps working everywhere.
 
-Both fallbacks warn once per process and record the reason in
+Every fallback warns once per process and records the reason in
 ``last_engine_stats["fallback"]``, which the runner copies into
 ``SimResult.backend_fallback``.  Either way results are bit-identical
 to the python backend; fallbacks only cost speed, never correctness.
@@ -28,7 +27,6 @@ from typing import Optional, Sequence, Set
 from repro.backend.base import Backend
 from repro.backend.native import build
 from repro.backend.native.engine import NativeCore
-from repro.backend.vector import VectorCore, _fallback_reason
 from repro.cpu.core import CoreParams, CoreResult, OutOfOrderCore
 from repro.engine.probes import Probe
 from repro.memory.hierarchy import MemoryHierarchy
@@ -40,29 +38,30 @@ __all__ = ["NativeBackend", "NativeCore"]
 _WARNED_FALLBACKS: Set[str] = set()
 
 
-def _warn_once(reason: str, target: str) -> None:
-    if reason in _WARNED_FALLBACKS:
-        return
-    _WARNED_FALLBACKS.add(reason)
-    warnings.warn(
-        f"native backend: {reason}; this configuration runs on the "
-        f"(bit-identical) {target}",
-        RuntimeWarning,
-        stacklevel=3,
-    )
+def _fallback_reason(hierarchy: MemoryHierarchy) -> Optional[str]:
+    """Why this run cannot take the C loop (None = it can)."""
+    if hierarchy._l1_lines is None:
+        return "set-associative L1D"
+    if hierarchy._needs_access:
+        return "prefetcher observes the access stream"
+    if hierarchy._promotions_enabled:
+        return "gated L1 promotions"
+    if hierarchy.l2d._direct_mapped:
+        return "direct-mapped L2"
+    if build.load() is None:
+        return f"native extension unavailable ({build.load_error()})"
+    return None
 
 
 class NativeBackend(Backend):
-    """Batch-stepping engine with a C-compiled scalar epilogue."""
+    """The compiled core loop, with the reference loop as fallback."""
 
     name = "native"
 
-    def __init__(self, vector_min: Optional[int] = None) -> None:
-        self.vector_min = vector_min
+    def __init__(self) -> None:
         #: engine accounting for the last run: NativeCore.engine_stats
-        #: when the compiled path ran; the numpy engine's stats plus a
-        #: ``fallback`` reason when the extension was unavailable; or
-        #: ``{"fallback": reason}`` for config-level fallbacks.
+        #: when the compiled loop ran, ``{"fallback": reason}`` when the
+        #: reference loop ran instead.
         self.last_engine_stats: dict = {}
 
     def run(
@@ -75,25 +74,18 @@ class NativeBackend(Backend):
     ) -> CoreResult:
         reason = _fallback_reason(hierarchy)
         if reason is not None:
-            _warn_once(reason, "python reference loop")
+            if reason not in _WARNED_FALLBACKS:
+                _WARNED_FALLBACKS.add(reason)
+                warnings.warn(
+                    f"native backend: {reason}; this configuration runs on "
+                    "the (bit-identical) python reference loop",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
             self.last_engine_stats = {"fallback": reason}
             core = OutOfOrderCore(params)
             return core.run(trace, hierarchy, warmup=warmup, probes=probes)
-        if build.load() is None:
-            reason = f"native extension unavailable ({build.load_error()})"
-            _warn_once(reason, "numpy batch engine")
-            if self.vector_min is not None:
-                core = VectorCore(params, vector_min=self.vector_min)
-            else:
-                core = VectorCore(params)
-            result = core.run(trace, hierarchy, warmup=warmup, probes=probes)
-            self.last_engine_stats = dict(core.engine_stats)
-            self.last_engine_stats["fallback"] = reason
-            return result
-        if self.vector_min is not None:
-            core = NativeCore(params, vector_min=self.vector_min)
-        else:
-            core = NativeCore(params)
+        core = NativeCore(params)
         result = core.run(trace, hierarchy, warmup=warmup, probes=probes)
         self.last_engine_stats = core.engine_stats
         return result

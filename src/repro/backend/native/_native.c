@@ -1,30 +1,41 @@
-/* _native.c — the compiled scalar epilogue behind the `native` backend.
+/* _native.c — the compiled per-access loop behind the `native` backend.
  *
- * This module compiles the flattened per-access miss path of
- * repro/backend/vector/engine.py (the "scalar epilogue") into a C
- * extension.  The design constraint is strict bit-identity with the
- * python reference loop, so the Engine object does NOT keep its own
- * copies of simulator state: it operates directly on the *live*
- * Python containers (the MSHR in-flight dict, the L2 per-set LRU
- * dicts, the THT history rows, the PHT sets, DRAM's completion list,
- * the poisoned/resident sets) through the CPython C API, and unboxes
- * only pure scalars (bus clocks, counters) plus flat numpy planes
- * (trace columns, L1D state, completion/commit timelines) shared with
- * the Python driver via the buffer protocol.  All floating-point
+ * Engine.step(i, stop, ...) runs the reference core loop of
+ * repro/cpu/core.py over accesses [i, stop): dispatch (frontend rate,
+ * window and LSQ occupancy), instruction fetch, issue (LS-unit rate,
+ * address dependences), the direct-mapped L1D probe, and the flattened
+ * demand-miss path of repro/memory/hierarchy.py (lazy-deletion MSHR
+ * heap, L1/L2 buses, L2 set probe/fill/LRU, DRAM, prefetch issue, TCP
+ * training).  The Python driver (repro/backend/native/engine.py) hands
+ * it one range per span between probe marks and the warmup point.
+ *
+ * The design constraint is strict bit-identity with the python
+ * reference loop, so the Engine keeps no private copy of the large
+ * simulator state: it operates on the *live* Python containers (the
+ * MSHR in-flight dict, the L2 and PHT per-set LRU dicts, the THT
+ * history rows, DRAM's completion list, the prefetch queue) through the
+ * CPython C API.  It owns only flat arrays: the read-only trace planes
+ * (borrowed numpy buffers), the completion/commit timelines, the L1D as
+ * four per-set planes, the THT running sums, and mirrored component
+ * scalars (bus clocks, counters).  sync_out writes the mirrors and the
+ * L1D sets touched since the last sync back to the live objects;
+ * sync_in reloads the mirrors, rebuilds the MSHR heap and recomputes
+ * the THT sums, so probes at a mark observe (and may modify) exactly
+ * the state the reference loop would show.  All floating-point
  * arithmetic is plain IEEE double in source order — the same ops, in
  * the same order, that the CPython interpreter performs — so cycle
  * counts match the reference bit for bit.
  *
- * The Python driver (repro/backend/native/engine.py) keeps the numpy
- * batch path and calls Engine.step(i, limit, ...) for every scalar
- * stretch; probes, warmup accounting, and span boundaries stay in
- * Python.  Three callbacks reach back for the paths that must run
- * interpreted: instruction-fetch misses, generic (non-TCP) prefetcher
- * training, and L1 eviction events.
+ * The paths that must run interpreted call back into Python: the L1I
+ * (a lookup at every fetch-block change, the full fetch on a miss),
+ * generic prefetcher training, and L1 eviction events.  The TCP (truncated-add PHT) and the null
+ * prefetcher are trained in C, so a baseline or TCP run never
+ * re-enters the interpreter on the data-miss path.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <structmember.h>
 #include <stdint.h>
 #include <string.h>
 #include <time.h>
@@ -34,40 +45,44 @@ typedef struct {
     long long b;
 } HeapItem;
 
+/* Byte offsets of CacheLine's __slots__ fields in an instance. */
+typedef struct {
+    Py_ssize_t tag, dirty, prefetched, fill_time, last_access, signature;
+} LineLayout;
+
 typedef struct {
     PyObject_HEAD
 
     /* ---- read-only trace planes (borrowed buffers) ---- */
     Py_buffer idx_b, instr_b, blocks_b, tags_b, deps_b, load_b, incs_b,
-        l2i_b, l2t_b, fb_b;
+        l2i_b, l2t_b, pcs_b, fb_b;
     const long long *idx, *instr, *blocks, *tags, *deps, *l2i, *l2t, *fb;
+    const unsigned long long *pcs;
     const unsigned char *load;
     const double *incs;
     int have_fb;
-
-    /* ---- read-write planes ---- */
-    Py_buffer comp_b, cmt_b;
-    double *comp_arr, *cmt_arr;
     Py_ssize_t n;
-    Py_buffer l1tag_b, l1la_b, l1ft_b, l1dirty_b;
-    long long *l1tag;
+
+    /* ---- engine-owned arrays ---- */
+    double *comp_arr, *cmt_arr;      /* per access, length n */
+    Py_ssize_t l1_sets;
+    long long *l1tag;                /* -1 = invalid */
     double *l1la, *l1ft;
-    unsigned char *l1dirty;
-    Py_buffer thtsum_b;
-    long long *thtsum;
-    int have_thtsum;
+    unsigned char *l1dirty, *l1touch; /* touch: changed since sync_out */
+    Py_ssize_t tht_rows;
+    long long *thtsum;               /* running sum of each THT row */
 
     /* ---- live Python containers / objects (owned refs) ---- */
     PyObject *msh_inf;    /* dict: block -> completion */
     PyObject *mem_comp;   /* list[float] (mutated in place) */
     PyObject *pf_inflight;/* list[float] (mutated in place) */
-    PyObject *l2_entries; /* list[dict] */
     PyObject *l2_sets;    /* list[LRUSet] */
-    PyObject *pht_sets;   /* list[LRUSet] or None */
-    PyObject *tht_hist;   /* list[tuple[int, ...]] or None */
-    PyObject *poisoned;   /* set[int] */
-    PyObject *resident;   /* set[int] */
+    PyObject *l1_lines;   /* list[CacheLine | None] */
+    PyObject *pht_sets;   /* list[LRUSet] or NULL */
+    PyObject *tht_hist;   /* list[tuple[int, ...]] or NULL */
+    PyObject *resident;   /* set[int]: L1I-resident fetch blocks */
     PyObject *cacheline;  /* CacheLine class */
+    LineLayout lay;
     PyObject *l1i_lookup; /* bound method */
     PyObject *ab, *db, *mab, *mdb; /* buses */
     PyObject *mshr, *memory, *hierarchy;
@@ -79,11 +94,12 @@ typedef struct {
     double ls_s, inv_cr;
     long long l1_lat, l2_lat, l1_beats, mem_beats, mem_lat;
     Py_ssize_t mem_maxc, msh_entries, l2_ways, pf_max, pht_ways, pht_targets;
-    long long l2_shift, l2_imask, l1_ib, l1i_mask, seq_mask, miss_mask;
+    long long l2_shift, l2_imask, l1i_mask, seq_mask, miss_mask;
     int l2_ibits, l1i_bits, n_bits, tht_ib;
     long long pf_delay;
     double pf_busy_thr;
-    int lru_pf, ideal_l2, model_icache, tcp_fast, has_prefetcher, needs_evict;
+    int lru_pf, ideal_l2, model_icache, tcp_fast, null_fast, has_prefetcher,
+        needs_evict;
 
     /* ---- mirrored component scalars (synced at boundaries) ---- */
     double a_nf, a_by, a_qc;
@@ -106,15 +122,12 @@ typedef struct {
     long long l1m, l2a, l2h, l2m, pfo, useful, mgd, wb1, wb2;
     long long pfr, pfi, pfred, pfdq, pfdb, pfev;
     long long pfl, pfu, pfp, tl, tp, pu, pl, ph;
-    long long sc;
-    Py_ssize_t poison_peak;
     long long epi_ns;
 } EngineObject;
 
 /* interned attribute names (module-lifetime) */
-static PyObject *s_entries, *s_last_access, *s_prefetched, *s_fill_time,
-    *s_dirty, *s_next_free, *s_busy_cycles, *s_queued_cycles, *s_transfers,
-    *s_earliest, *s_full_stalls, *s_merges, *s_peak_occupancy,
+static PyObject *s_entries, *s_next_free, *s_busy_cycles, *s_queued_cycles,
+    *s_transfers, *s_earliest, *s_full_stalls, *s_merges, *s_peak_occupancy,
     *s_completions_attr, *s_accesses, *s_pf_inflight_attr;
 
 /* ================= small helpers ================= */
@@ -187,17 +200,6 @@ dict_first_key(PyObject *d)
     if (PyDict_Next(d, &pos, &k, &v))
         return k;
     return NULL;
-}
-
-static int
-attr_true(PyObject *obj, PyObject *name)
-{
-    PyObject *v = PyObject_GetAttr(obj, name);
-    if (v == NULL)
-        return -1;
-    int res = PyObject_IsTrue(v);
-    Py_DECREF(v);
-    return res;
 }
 
 static double
@@ -336,6 +338,139 @@ memcomp_prefix_filter(EngineObject *e, double bound)
     return PyList_SetSlice(e->mem_comp, 0, k, NULL);
 }
 
+/* ================= cache lines =================
+ *
+ * CacheLine is a __slots__ class, so each field lives at a fixed
+ * offset that the class's member descriptors publish.  The engine
+ * reads, writes and allocates lines through those offsets: the miss
+ * path never runs CacheLine.__init__ or an attribute lookup. */
+
+#define SLOT(obj, off) (*(PyObject **)((char *)(obj) + (off)))
+
+static int
+layout_field(PyObject *cls, const char *name, Py_ssize_t *out)
+{
+    PyObject *d = PyObject_GetAttrString(cls, name);
+    if (d == NULL)
+        return -1;
+    int ok = Py_IS_TYPE(d, &PyMemberDescr_Type);
+    if (ok) {
+        PyMemberDef *m = ((PyMemberDescrObject *)d)->d_member;
+        ok = m->type == T_OBJECT_EX && !(m->flags & READONLY);
+        *out = m->offset;
+    }
+    Py_DECREF(d);
+    if (!ok) {
+        PyErr_Format(PyExc_TypeError, "CacheLine.%s is not a writable slot",
+                     name);
+        return -1;
+    }
+    return 0;
+}
+
+static int
+layout_init(PyObject *cls, LineLayout *lay)
+{
+    if (!PyType_Check(cls)) {
+        PyErr_SetString(PyExc_TypeError, "cacheline must be a class");
+        return -1;
+    }
+    return layout_field(cls, "tag", &lay->tag) < 0 ||
+                   layout_field(cls, "dirty", &lay->dirty) < 0 ||
+                   layout_field(cls, "prefetched", &lay->prefetched) < 0 ||
+                   layout_field(cls, "fill_time", &lay->fill_time) < 0 ||
+                   layout_field(cls, "last_access", &lay->last_access) < 0 ||
+                   layout_field(cls, "signature", &lay->signature) < 0
+               ? -1
+               : 0;
+}
+
+/* CacheLine(tag, fill, dirty=dirty, prefetched=prefetched), new ref */
+static PyObject *
+line_new(EngineObject *e, long long tag, double fill, int dirty,
+         int prefetched)
+{
+    PyTypeObject *tp = (PyTypeObject *)e->cacheline;
+    PyObject *obj = tp->tp_alloc(tp, 0);
+    if (obj == NULL)
+        return NULL;
+    PyObject *t = PyLong_FromLongLong(tag);
+    PyObject *f = PyFloat_FromDouble(fill);
+    PyObject *sig = PyLong_FromLong(0);
+    if (t == NULL || f == NULL || sig == NULL) {
+        Py_XDECREF(t);
+        Py_XDECREF(f);
+        Py_XDECREF(sig);
+        Py_DECREF(obj);
+        return NULL;
+    }
+    SLOT(obj, e->lay.tag) = t;
+    Py_INCREF(dirty ? Py_True : Py_False);
+    SLOT(obj, e->lay.dirty) = dirty ? Py_True : Py_False;
+    Py_INCREF(prefetched ? Py_True : Py_False);
+    SLOT(obj, e->lay.prefetched) = prefetched ? Py_True : Py_False;
+    Py_INCREF(f);
+    SLOT(obj, e->lay.fill_time) = f;
+    SLOT(obj, e->lay.last_access) = f;
+    SLOT(obj, e->lay.signature) = sig;
+    return obj;
+}
+
+/* borrowed field of a line; NULL + error when the line is not a
+ * CacheLine or the field was never set */
+static PyObject *
+line_get(EngineObject *e, PyObject *line, Py_ssize_t off)
+{
+    if (Py_TYPE(line) != (PyTypeObject *)e->cacheline) {
+        PyErr_Format(PyExc_TypeError, "expected a CacheLine, got %R", line);
+        return NULL;
+    }
+    PyObject *v = SLOT(line, off);
+    if (v == NULL)
+        PyErr_SetString(PyExc_AttributeError, "CacheLine field unset");
+    return v;
+}
+
+static int
+line_true(EngineObject *e, PyObject *line, Py_ssize_t off)
+{
+    PyObject *v = line_get(e, line, off);
+    return v == NULL ? -1 : PyObject_IsTrue(v);
+}
+
+static double
+line_double(EngineObject *e, PyObject *line, Py_ssize_t off, int *err)
+{
+    PyObject *v = line_get(e, line, off);
+    double d = v == NULL ? -1.0 : PyFloat_AsDouble(v);
+    if (d == -1.0 && PyErr_Occurred())
+        *err = 1;
+    return d;
+}
+
+/* steals `val` */
+static int
+line_set(EngineObject *e, PyObject *line, Py_ssize_t off, PyObject *val)
+{
+    if (val == NULL)
+        return -1;
+    if (Py_TYPE(line) != (PyTypeObject *)e->cacheline) {
+        Py_DECREF(val);
+        PyErr_Format(PyExc_TypeError, "expected a CacheLine, got %R", line);
+        return -1;
+    }
+    Py_XSETREF(SLOT(line, off), val);
+    return 0;
+}
+
+static int
+line_set_bool(EngineObject *e, PyObject *line, Py_ssize_t off, int flag)
+{
+    PyObject *v = flag ? Py_True : Py_False;
+    Py_INCREF(v);
+    return line_set(e, line, off, v);
+}
+
 /* ================= boundary sync ================= */
 
 static int
@@ -416,11 +551,11 @@ sync_in_internal(EngineObject *e)
     PyObject *mc = PyObject_GetAttr(e->memory, s_completions_attr);
     if (mc == NULL)
         return -1;
-    Py_SETREF(e->mem_comp, mc);
+    Py_XSETREF(e->mem_comp, mc);
     PyObject *pfq = PyObject_GetAttr(e->hierarchy, s_pf_inflight_attr);
     if (pfq == NULL)
         return -1;
-    Py_SETREF(e->pf_inflight, pfq);
+    Py_XSETREF(e->pf_inflight, pfq);
     /* rebuild the lazy-deletion heap from the live dict */
     Py_ssize_t sz = PyDict_GET_SIZE(e->msh_inf);
     if (heap_reserve(e, sz ? sz : 1) < 0)
@@ -441,92 +576,131 @@ sync_in_internal(EngineObject *e)
     return 0;
 }
 
+/* Write the L1D sets changed since the last call back to the live
+ * line list: a changed tag installs a fresh CacheLine, otherwise the
+ * resident line's timestamps and dirty bit are updated in place. */
+static int
+l1_sync_out(EngineObject *e)
+{
+    for (Py_ssize_t s = 0; s < e->l1_sets; s++) {
+        if (!e->l1touch[s])
+            continue;
+        e->l1touch[s] = 0;
+        long long t = e->l1tag[s];
+        if (t < 0)
+            continue;
+        PyObject *line = PyList_GET_ITEM(e->l1_lines, s); /* borrowed */
+        int same = 0;
+        if (line != Py_None) {
+            PyObject *lt = line_get(e, line, e->lay.tag);
+            if (lt == NULL)
+                return -1;
+            long long ltv = PyLong_AsLongLong(lt);
+            if (ltv == -1 && PyErr_Occurred())
+                return -1;
+            same = ltv == t;
+        }
+        if (!same) {
+            line = line_new(e, t, e->l1ft[s], e->l1dirty[s], 0);
+            if (line == NULL || PyList_SetItem(e->l1_lines, s, line) < 0)
+                return -1; /* SetItem stole the new line */
+        }
+        else {
+            /* hits only move last_access; rewrite the rest on change */
+            int err = 0;
+            double ft = line_double(e, line, e->lay.fill_time, &err);
+            int dirty = line_true(e, line, e->lay.dirty);
+            if (err || dirty < 0)
+                return -1;
+            if ((ft != e->l1ft[s] &&
+                 line_set(e, line, e->lay.fill_time,
+                          PyFloat_FromDouble(e->l1ft[s])) < 0) ||
+                (dirty != e->l1dirty[s] &&
+                 line_set_bool(e, line, e->lay.dirty, e->l1dirty[s]) < 0))
+                return -1;
+        }
+        if (line_set(e, line, e->lay.last_access,
+                     PyFloat_FromDouble(e->l1la[s])) < 0)
+            return -1;
+    }
+    return 0;
+}
+
+/* Load the L1D planes from the live line list (construction only). */
+static int
+l1_load(EngineObject *e)
+{
+    for (Py_ssize_t s = 0; s < e->l1_sets; s++) {
+        PyObject *line = PyList_GET_ITEM(e->l1_lines, s);
+        e->l1touch[s] = 0;
+        if (line == Py_None) {
+            e->l1tag[s] = -1;
+            e->l1la[s] = 0.0;
+            e->l1ft[s] = 0.0;
+            e->l1dirty[s] = 0;
+            continue;
+        }
+        int err = 0;
+        PyObject *lt = line_get(e, line, e->lay.tag);
+        if (lt == NULL)
+            return -1;
+        e->l1tag[s] = PyLong_AsLongLong(lt);
+        if (e->l1tag[s] == -1 && PyErr_Occurred())
+            return -1;
+        e->l1la[s] = line_double(e, line, e->lay.last_access, &err);
+        e->l1ft[s] = line_double(e, line, e->lay.fill_time, &err);
+        if (err)
+            return -1;
+        int d = line_true(e, line, e->lay.dirty);
+        if (d < 0)
+            return -1;
+        e->l1dirty[s] = (unsigned char)d;
+    }
+    return 0;
+}
+
+/* Recompute every THT row's running tag sum from the live rows. */
+static int
+thtsum_reload(EngineObject *e)
+{
+    for (Py_ssize_t r = 0; r < e->tht_rows; r++) {
+        PyObject *row = PyList_GET_ITEM(e->tht_hist, r);
+        Py_ssize_t k = PyTuple_GET_SIZE(row);
+        long long sum = 0;
+        for (Py_ssize_t q = 0; q < k; q++) {
+            long long x = PyLong_AsLongLong(PyTuple_GET_ITEM(row, q));
+            if (x == -1 && PyErr_Occurred())
+                return -1;
+            sum += x;
+        }
+        e->thtsum[r] = sum;
+    }
+    return 0;
+}
+
 /* ================= prefetch issue ================= */
 
-static int
-issue_pf_c(EngineObject *e, long long pb, double t)
+/* MainMemory.fetch, inlined: returns the data-ready time (NaN + error
+ * set on failure). */
+static double
+memory_fetch(EngineObject *e, double t)
 {
-    e->pfr++;
-    long long l2b = pb >> e->l2_shift;
-    long long i2 = l2b & e->l2_imask;
-    long long t2 = l2b >> e->l2_ibits;
-    PyObject *entries = PyList_GET_ITEM(e->l2_entries, i2); /* borrowed */
-    PyObject *t2o = PyLong_FromLongLong(t2);
-    if (t2o == NULL)
-        return -1;
-    PyObject *line = PyDict_GetItemWithError(entries, t2o);
-    if (line == NULL && PyErr_Occurred()) {
-        Py_DECREF(t2o);
-        return -1;
-    }
-    if (line != NULL) {
-        e->pfred++;
-        Py_DECREF(t2o);
-        return 0;
-    }
-    /* order-preserving expiry filter, in place (identity-stable) */
-    Py_ssize_t ln = PyList_GET_SIZE(e->pf_inflight);
-    if (ln) {
-        PyObject *keep = PyList_New(0);
-        if (keep == NULL) {
-            Py_DECREF(t2o);
-            return -1;
-        }
-        for (Py_ssize_t q = 0; q < ln; q++) {
-            PyObject *x = PyList_GET_ITEM(e->pf_inflight, q);
-            double xv = PyFloat_AsDouble(x);
-            if (xv == -1.0 && PyErr_Occurred()) {
-                Py_DECREF(keep);
-                Py_DECREF(t2o);
-                return -1;
-            }
-            if (xv > t && PyList_Append(keep, x) < 0) {
-                Py_DECREF(keep);
-                Py_DECREF(t2o);
-                return -1;
-            }
-        }
-        int r = PyList_SetSlice(e->pf_inflight, 0, ln, keep);
-        Py_DECREF(keep);
-        if (r < 0) {
-            Py_DECREF(t2o);
-            return -1;
-        }
-    }
-    if (PyList_GET_SIZE(e->pf_inflight) >= e->pf_max) {
-        e->pfdq++;
-        Py_DECREF(t2o);
-        return 0;
-    }
-    if (e->md_nf - ((t + 1.0) + (double)e->mem_lat) > e->pf_busy_thr) {
-        e->pfdb++;
-        Py_DECREF(t2o);
-        return 0;
-    }
-    /* MainMemory.fetch, inlined */
-    double tq = t + (double)e->l2_lat;
-    double st = tq > e->ma_nf ? tq : e->ma_nf;
+    double st = t > e->ma_nf ? t : e->ma_nf;
     e->ma_nf = st + 1.0;
     e->ma_by += 1.0;
-    e->ma_qc += st - tq;
+    e->ma_qc += st - t;
     e->ma_tr += 1;
     double start = st + 1.0;
     if (PyList_GET_SIZE(e->mem_comp) >= e->mem_maxc) {
-        if (PyList_Sort(e->mem_comp) < 0) {
-            Py_DECREF(t2o);
-            return -1;
-        }
+        if (PyList_Sort(e->mem_comp) < 0)
+            return Py_NAN;
         double first = PyFloat_AsDouble(PyList_GET_ITEM(e->mem_comp, 0));
-        if (first == -1.0 && PyErr_Occurred()) {
-            Py_DECREF(t2o);
-            return -1;
-        }
+        if (first == -1.0 && PyErr_Occurred())
+            return Py_NAN;
         if (first > start)
             start = first;
-        if (memcomp_prefix_filter(e, start) < 0) {
-            Py_DECREF(t2o);
-            return -1;
-        }
+        if (memcomp_prefix_filter(e, start) < 0)
+            return Py_NAN;
     }
     double ready = start + (double)e->mem_lat;
     st = ready > e->md_nf ? ready : e->md_nf;
@@ -535,123 +709,478 @@ issue_pf_c(EngineObject *e, long long pb, double t)
     e->md_qc += st - ready;
     e->md_tr += 1;
     double done = st + (double)e->mem_beats;
-    if (list_append_double(e->mem_comp, done) < 0) {
-        Py_DECREF(t2o);
-        return -1;
-    }
+    if (list_append_double(e->mem_comp, done) < 0)
+        return Py_NAN;
     e->mem_acc++;
-    if (list_append_double(e->pf_inflight, done) < 0) {
-        Py_DECREF(t2o);
+    return done;
+}
+
+/* Account for an L2 victim: unused-prefetch eviction and dirty
+ * writeback over the memory data channel at time t. */
+static int
+l2_victim(EngineObject *e, PyObject *victim, double t)
+{
+    int vpf = line_true(e, victim, e->lay.prefetched);
+    if (vpf < 0)
         return -1;
+    if (vpf)
+        e->pfev++;
+    int vd = line_true(e, victim, e->lay.dirty);
+    if (vd < 0)
+        return -1;
+    if (vd) {
+        e->wb2++;
+        double st = t > e->md_nf ? t : e->md_nf;
+        e->md_nf = st + (double)e->mem_beats;
+        e->md_by += (double)e->mem_beats;
+        e->md_qc += st - t;
+        e->md_tr += 1;
     }
+    return 0;
+}
+
+/* Pop the LRU entry of a full set dict; returns the victim line (new
+ * ref) or NULL with an error set. */
+static PyObject *
+evict_lru(PyObject *entries)
+{
+    PyObject *fk = dict_first_key(entries);
+    Py_INCREF(fk);
+    PyObject *victim = PyDict_GetItem(entries, fk);
+    Py_XINCREF(victim);
+    int r = PyDict_DelItem(entries, fk);
+    Py_DECREF(fk);
+    if (r < 0) {
+        Py_XDECREF(victim);
+        return NULL;
+    }
+    return victim;
+}
+
+/* MemoryHierarchy.issue_prefetch for an L2-only request. */
+static int
+issue_pf_c(EngineObject *e, long long pb, double t)
+{
+    e->pfr++;
+    long long l2b = pb >> e->l2_shift;
+    long long i2 = l2b & e->l2_imask;
+    long long t2 = l2b >> e->l2_ibits;
+    PyObject *lru = PyList_GET_ITEM(e->l2_sets, i2); /* borrowed */
+    PyObject *t2o = NULL, *entries = NULL, *newline = NULL, *victim = NULL;
+    int rc = -1;
+    /* read per use: put_lru rebinds a set's dict */
+    entries = PyObject_GetAttr(lru, s_entries);
+    if (entries == NULL)
+        goto done;
+    t2o = PyLong_FromLongLong(t2);
+    if (t2o == NULL)
+        goto done;
+    PyObject *line = PyDict_GetItemWithError(entries, t2o);
+    if (line != NULL) {
+        e->pfred++;
+        rc = 0;
+        goto done;
+    }
+    if (PyErr_Occurred())
+        goto done;
+    /* order-preserving expiry filter, in place (identity-stable) */
+    Py_ssize_t ln = PyList_GET_SIZE(e->pf_inflight);
+    if (ln) {
+        PyObject *keep = PyList_New(0);
+        if (keep == NULL)
+            goto done;
+        for (Py_ssize_t q = 0; q < ln; q++) {
+            PyObject *x = PyList_GET_ITEM(e->pf_inflight, q);
+            double xv = PyFloat_AsDouble(x);
+            if ((xv == -1.0 && PyErr_Occurred()) ||
+                (xv > t && PyList_Append(keep, x) < 0)) {
+                Py_DECREF(keep);
+                goto done;
+            }
+        }
+        int r = PyList_SetSlice(e->pf_inflight, 0, ln, keep);
+        Py_DECREF(keep);
+        if (r < 0)
+            goto done;
+    }
+    if (PyList_GET_SIZE(e->pf_inflight) >= e->pf_max) {
+        e->pfdq++;
+        rc = 0;
+        goto done;
+    }
+    if (e->md_nf - ((t + 1.0) + (double)e->mem_lat) > e->pf_busy_thr) {
+        e->pfdb++;
+        rc = 0;
+        goto done;
+    }
+    double fetched = memory_fetch(e, t + (double)e->l2_lat);
+    if (PyErr_Occurred())
+        goto done;
+    if (list_append_double(e->pf_inflight, fetched) < 0)
+        goto done;
     e->pfi++;
     /* _fill_l2, prefetch insert */
-    PyObject *newline =
-        PyObject_CallFunction(e->cacheline, "Ld", t2, done);
-    if (newline == NULL) {
-        Py_DECREF(t2o);
-        return -1;
-    }
-    if (PyObject_SetAttr(newline, s_prefetched, Py_True) < 0) {
-        Py_DECREF(newline);
-        Py_DECREF(t2o);
-        return -1;
-    }
-    PyObject *victim = NULL;
+    newline = line_new(e, t2, fetched, 0, 1);
+    if (newline == NULL)
+        goto done;
     if (PyDict_GET_SIZE(entries) >= e->l2_ways) {
-        PyObject *fk = dict_first_key(entries);
-        Py_INCREF(fk);
-        victim = PyDict_GetItem(entries, fk);
-        Py_XINCREF(victim);
-        if (PyDict_DelItem(entries, fk) < 0) {
-            Py_DECREF(fk);
-            Py_XDECREF(victim);
-            Py_DECREF(newline);
-            Py_DECREF(t2o);
-            return -1;
-        }
-        Py_DECREF(fk);
+        victim = evict_lru(entries);
+        if (victim == NULL && PyErr_Occurred())
+            goto done;
     }
     if (e->lru_pf) {
         /* LRUSet.put_lru rebinds: {t2: line, **entries} */
         PyObject *nd = PyDict_New();
-        if (nd == NULL || PyDict_SetItem(nd, t2o, newline) < 0 ||
-            PyDict_Merge(nd, entries, 1) < 0) {
-            Py_XDECREF(nd);
-            Py_XDECREF(victim);
-            Py_DECREF(newline);
-            Py_DECREF(t2o);
-            return -1;
-        }
-        PyObject *lru = PyList_GET_ITEM(e->l2_sets, i2);
-        if (PyObject_SetAttr(lru, s_entries, nd) < 0) {
+        if (nd == NULL)
+            goto done;
+        if (PyDict_SetItem(nd, t2o, newline) < 0 ||
+            PyDict_Merge(nd, entries, 1) < 0 ||
+            PyObject_SetAttr(lru, s_entries, nd) < 0) {
             Py_DECREF(nd);
-            Py_XDECREF(victim);
-            Py_DECREF(newline);
-            Py_DECREF(t2o);
-            return -1;
+            goto done;
         }
-        PyList_SetItem(e->l2_entries, i2, nd); /* steals nd */
+        Py_DECREF(nd);
     }
-    else {
-        if (PyDict_SetItem(entries, t2o, newline) < 0) {
-            Py_XDECREF(victim);
-            Py_DECREF(newline);
-            Py_DECREF(t2o);
-            return -1;
-        }
-    }
-    Py_DECREF(newline);
-    Py_DECREF(t2o);
-    if (victim != NULL) {
-        int vpf = attr_true(victim, s_prefetched);
-        if (vpf < 0) {
-            Py_DECREF(victim);
-            return -1;
-        }
-        if (vpf)
-            e->pfev++;
-        int vd = attr_true(victim, s_dirty);
-        if (vd < 0) {
-            Py_DECREF(victim);
-            return -1;
-        }
-        if (vd) {
-            e->wb2++;
-            st = done > e->md_nf ? done : e->md_nf;
-            e->md_nf = st + (double)e->mem_beats;
-            e->md_by += (double)e->mem_beats;
-            e->md_qc += st - done;
-            e->md_tr += 1;
-        }
-        Py_DECREF(victim);
-    }
-    return 0;
+    else if (PyDict_SetItem(entries, t2o, newline) < 0)
+        goto done;
+    if (victim != NULL && l2_victim(e, victim, fetched) < 0)
+        goto done;
+    rc = 0;
+done:
+    Py_XDECREF(victim);
+    Py_XDECREF(newline);
+    Py_XDECREF(t2o);
+    Py_XDECREF(entries);
+    return rc;
 }
 
 static int tcp_train(EngineObject *e, long long s, long long tag,
                      long long block, double v);
 
-/* ================= the scalar epilogue ================= */
+/* ================= the demand-miss path ================= */
+
+/* MSHRFile.acquire: the earliest time a new miss may allocate an
+ * entry (reaping only when the file is full).  -1.0 + error on
+ * failure (times are never negative). */
+static double
+mshr_acquire(EngineObject *e, double v)
+{
+    if (PyDict_GET_SIZE(e->msh_inf) < e->msh_entries)
+        return v;
+    while (e->heap_len && e->heap[0].t <= v) {
+        HeapItem it;
+        heap_popmin(e, &it);
+        if (mshr_del_if_match(e, it.b, it.t) < 0)
+            return -1.0;
+    }
+    if (PyDict_GET_SIZE(e->msh_inf) < e->msh_entries)
+        return v;
+    double start;
+    for (;;) {
+        if (e->heap_len == 0) {
+            PyErr_SetString(PyExc_RuntimeError,
+                            "MSHR heap drained while the file is full");
+            return -1.0;
+        }
+        HeapItem top = e->heap[0];
+        int m = mshr_match(e, top.b, top.t);
+        if (m < 0)
+            return -1.0;
+        if (m) {
+            start = top.t;
+            break;
+        }
+        HeapItem dump;
+        heap_popmin(e, &dump);
+    }
+    e->msh_fs++;
+    while (e->heap_len && e->heap[0].t <= start) {
+        HeapItem it;
+        heap_popmin(e, &it);
+        if (mshr_del_if_match(e, it.b, it.t) < 0)
+            return -1.0;
+    }
+    return start;
+}
+
+/* The L2 demand access for access i arriving at `arrival`: hit (LRU
+ * promote, prefetch-bit consume) or miss (DRAM fetch + fill).
+ * Returns the data-ready time, -1.0 + error on failure. */
+static double
+l2_demand(EngineObject *e, Py_ssize_t i, double arrival)
+{
+    e->l2a++;
+    PyObject *lru = PyList_GET_ITEM(e->l2_sets, e->l2i[i]); /* borrowed */
+    PyObject *entries = NULL, *t2o = NULL, *line = NULL, *victim = NULL;
+    double ready = -1.0;
+    entries = PyObject_GetAttr(lru, s_entries);
+    if (entries == NULL)
+        goto done;
+    t2o = PyLong_FromLongLong(e->l2t[i]);
+    if (t2o == NULL)
+        goto done;
+    line = PyDict_GetItemWithError(entries, t2o);
+    if (line == NULL && PyErr_Occurred())
+        goto done;
+    if (line != NULL) {
+        Py_INCREF(line);
+        /* LRU promote: del + reinsert */
+        if (PyDict_DelItem(entries, t2o) < 0 ||
+            PyDict_SetItem(entries, t2o, line) < 0 ||
+            line_set(e, line, e->lay.last_access,
+                     PyFloat_FromDouble(arrival)) < 0)
+            goto done;
+    }
+    if (line != NULL || e->ideal_l2) {
+        e->l2h++;
+        double data_ready = arrival + (double)e->l2_lat;
+        if (line != NULL) {
+            int is_pf = line_true(e, line, e->lay.prefetched);
+            if (is_pf < 0)
+                goto done;
+            if (is_pf) {
+                if (line_set_bool(e, line, e->lay.prefetched, 0) < 0)
+                    goto done;
+                e->pfo++;
+                e->useful++;
+            }
+            int err = 0;
+            double ft2 = line_double(e, line, e->lay.fill_time, &err);
+            if (err)
+                goto done;
+            if (ft2 > arrival && ft2 > data_ready)
+                data_ready = ft2;
+        }
+        ready = data_ready;
+        goto done;
+    }
+    /* L2 miss: MainMemory.fetch + _fill_l2, inlined */
+    e->l2m++;
+    double fetched = memory_fetch(e, arrival + (double)e->l2_lat);
+    if (PyErr_Occurred())
+        goto done;
+    line = line_new(e, e->l2t[i], fetched, 0, 0);
+    if (line == NULL)
+        goto done;
+    if (PyDict_GET_SIZE(entries) >= e->l2_ways) {
+        victim = evict_lru(entries);
+        if (victim == NULL && PyErr_Occurred())
+            goto done;
+    }
+    if (PyDict_SetItem(entries, t2o, line) < 0)
+        goto done;
+    if (victim != NULL && l2_victim(e, victim, fetched) < 0)
+        goto done;
+    ready = fetched;
+done:
+    Py_XDECREF(victim);
+    Py_XDECREF(line);
+    Py_XDECREF(t2o);
+    Py_XDECREF(entries);
+    return ready;
+}
+
+/* Prefetcher training for one primary miss. */
+static int
+train(EngineObject *e, Py_ssize_t i, long long s, long long tag,
+      long long block, int load, double v)
+{
+    if (e->tcp_fast)
+        return tcp_train(e, s, tag, block, v);
+    if (e->null_fast) {
+        e->pfl++; /* NullPrefetcher.observe_miss */
+        return 0;
+    }
+    if (!e->has_prefetcher)
+        return 0;
+    PyObject *reqs = PyObject_CallFunction(
+        e->observe_cb, "LLLKOd", s, tag, block, e->pcs[i],
+        load ? Py_False : Py_True, v);
+    if (reqs == NULL)
+        return -1;
+    int rc = 0;
+    if (reqs != Py_None) {
+        double launch = v + (double)e->pf_delay;
+        Py_ssize_t nr = PyList_GET_SIZE(reqs);
+        for (Py_ssize_t q = 0; q < nr && rc == 0; q++) {
+            long long pb = PyLong_AsLongLong(PyList_GET_ITEM(reqs, q));
+            if (pb == -1 && PyErr_Occurred())
+                rc = -1;
+            else
+                rc = issue_pf_c(e, pb, launch);
+        }
+    }
+    Py_DECREF(reqs);
+    return rc;
+}
+
+/* MemoryHierarchy.access_time for an L1D miss of access i issued at
+ * v.  Returns the data completion time, -1.0 + error on failure. */
+static double
+demand_miss(EngineObject *e, Py_ssize_t i, long long s, long long tag,
+            int load, double v)
+{
+    e->l1m++;
+    long long block = e->blocks[i];
+    double comp = -1.0;
+    PyObject *blocko = PyLong_FromLongLong(block);
+    if (blocko == NULL)
+        return -1.0;
+    PyObject *merged = PyDict_GetItemWithError(e->msh_inf, blocko);
+    if (merged == NULL && PyErr_Occurred())
+        goto done;
+    if (merged != NULL) {
+        double mval = PyFloat_AsDouble(merged);
+        if (mval == -1.0 && PyErr_Occurred())
+            goto done;
+        if (mval > v) {
+            /* MSHR merge: no L1 fill, no training */
+            e->msh_mg++;
+            e->mgd++;
+            comp = mval;
+            goto done;
+        }
+    }
+    double start = mshr_acquire(e, v);
+    if (start < 0.0)
+        goto done;
+    /* L1/L2 address channel: one command beat */
+    double t_ = start + (double)e->l1_lat;
+    double st_ = t_ > e->a_nf ? t_ : e->a_nf;
+    e->a_nf = st_ + 1.0;
+    e->a_by += 1.0;
+    e->a_qc += st_ - t_;
+    e->a_tr += 1;
+    double data_ready = l2_demand(e, i, st_ + 1.0);
+    if (data_ready < 0.0)
+        goto done;
+    /* data return over the L1/L2 data channel */
+    st_ = data_ready > e->d_nf ? data_ready : e->d_nf;
+    e->d_nf = st_ + (double)e->l1_beats;
+    e->d_by += (double)e->l1_beats;
+    e->d_qc += st_ - data_ready;
+    e->d_tr += 1;
+    double fill = st_ + (double)e->l1_beats;
+    /* MSHR register (reap at now, then insert) */
+    while (e->heap_len && e->heap[0].t <= v) {
+        HeapItem it;
+        heap_popmin(e, &it);
+        if (mshr_del_if_match(e, it.b, it.t) < 0)
+            goto done;
+    }
+    PyObject *co = PyFloat_FromDouble(fill);
+    if (co == NULL)
+        goto done;
+    int r = PyDict_SetItem(e->msh_inf, blocko, co);
+    Py_DECREF(co);
+    if (r < 0 || heap_push(e, fill, block) < 0)
+        goto done;
+    Py_ssize_t sz = PyDict_GET_SIZE(e->msh_inf);
+    if (sz > e->msh_pk)
+        e->msh_pk = sz;
+    /* L1 fill on the planes (+ victim writeback) */
+    e->l1touch[s] = 1;
+    long long vt = e->l1tag[s];
+    if (vt == tag) {
+        e->l1la[s] = fill;
+        if (!load)
+            e->l1dirty[s] = 1;
+    }
+    else {
+        int vd = e->l1dirty[s];
+        double old_ft = e->l1ft[s];
+        double old_la = e->l1la[s];
+        e->l1tag[s] = tag;
+        e->l1ft[s] = fill;
+        e->l1la[s] = fill;
+        e->l1dirty[s] = load ? 0 : 1;
+        if (vt >= 0) {
+            if (vd) {
+                e->wb1++;
+                st_ = fill > e->d_nf ? fill : e->d_nf;
+                e->d_nf = st_ + (double)e->l1_beats;
+                e->d_by += (double)e->l1_beats;
+                e->d_qc += st_ - fill;
+                e->d_tr += 1;
+            }
+            if (e->needs_evict) {
+                PyObject *res = PyObject_CallFunction(
+                    e->evict_cb, "LLddd", s, vt, fill, old_ft, old_la);
+                if (res == NULL)
+                    goto done;
+                Py_DECREF(res);
+            }
+        }
+    }
+    if (train(e, i, s, tag, block, load, v) < 0)
+        goto done;
+    comp = fill;
+done:
+    Py_DECREF(blocko);
+    return comp;
+}
+
+/* ================= the core loop ================= */
+
+/* Instruction fetch for a new fetch block at dispatch time nd: an
+ * L1I-resident block is a plain lookup, anything else runs the
+ * interpreted fetch with component state synced around the call.
+ * Adds the fetch penalty to *nd; -1 on error. */
+static int
+fetch_block(EngineObject *e, Py_ssize_t i, long long fb, double *nd)
+{
+    PyObject *fbo = PyLong_FromLongLong(fb);
+    if (fbo == NULL)
+        return -1;
+    int res = PySet_Contains(e->resident, fbo);
+    Py_DECREF(fbo);
+    if (res < 0)
+        return -1;
+    if (res) {
+        e->ifc++;
+        PyObject *r = PyObject_CallFunction(
+            e->l1i_lookup, "LLOd", fb & e->l1i_mask, fb >> e->l1i_bits,
+            Py_False, *nd);
+        if (r == NULL)
+            return -1;
+        Py_DECREF(r);
+        return 0;
+    }
+    if (sync_out_internal(e) < 0)
+        return -1;
+    PyObject *r = PyObject_CallFunction(e->ifetch_cb, "dKL", *nd, e->pcs[i],
+                                        fb);
+    if (r == NULL)
+        return -1;
+    double pen = PyFloat_AsDouble(r);
+    Py_DECREF(r);
+    if (pen == -1.0 && PyErr_Occurred())
+        return -1;
+    if (sync_in_internal(e) < 0)
+        return -1;
+    if (pen > 0.0)
+        *nd += pen;
+    return 0;
+}
 
 static PyObject *
 Engine_step(EngineObject *e, PyObject *args)
 {
-    Py_ssize_t i, limit, P;
+    Py_ssize_t i, stop, P;
     double li, lc, nd;
     long long last_fb;
-    if (!PyArg_ParseTuple(args, "nndddnL", &i, &limit, &li, &lc, &nd, &P,
+    if (!PyArg_ParseTuple(args, "nndddnL", &i, &stop, &li, &lc, &nd, &P,
                           &last_fb))
         return NULL;
-    if (i < 0 || limit > e->n || i > limit) {
+    if (i < 0 || stop > e->n || i > stop) {
         PyErr_SetString(PyExc_ValueError, "step range out of bounds");
         return NULL;
     }
     struct timespec ts0, ts1;
     clock_gettime(CLOCK_MONOTONIC, &ts0);
 
-    for (; i < limit; i++) {
-        long long s = e->idx[i];
+    for (; i < stop; i++) {
+        /* ---- dispatch: frontend rate + window/LSQ occupancy ---- */
         nd += e->incs[i];
         long long floor_ = e->instr[i] - e->window;
         while (P < i) {
@@ -667,46 +1196,12 @@ Engine_step(EngineObject *e, PyObject *args)
             if (c > nd)
                 nd = c;
         }
-        if (e->model_icache) {
-            long long fb = e->fb[i];
-            if (fb != last_fb) {
-                last_fb = fb;
-                PyObject *fbo = PyLong_FromLongLong(fb);
-                if (fbo == NULL)
-                    goto fail;
-                int res = PySet_Contains(e->resident, fbo);
-                Py_DECREF(fbo);
-                if (res < 0)
-                    goto fail;
-                if (res) {
-                    e->ifc++;
-                    PyObject *r = PyObject_CallFunction(
-                        e->l1i_lookup, "LLOd", fb & e->l1i_mask,
-                        fb >> e->l1i_bits, Py_False, nd);
-                    if (r == NULL)
-                        goto fail;
-                    Py_DECREF(r);
-                }
-                else {
-                    /* real instruction fetch: run interpreted with
-                     * component state synced around the call */
-                    if (sync_out_internal(e) < 0)
-                        goto fail;
-                    PyObject *r = PyObject_CallFunction(e->ifetch_cb, "dn",
-                                                        nd, i);
-                    if (r == NULL)
-                        goto fail;
-                    double pen = PyFloat_AsDouble(r);
-                    Py_DECREF(r);
-                    if (pen == -1.0 && PyErr_Occurred())
-                        goto fail;
-                    if (sync_in_internal(e) < 0)
-                        goto fail;
-                    if (pen > 0.0)
-                        nd += pen;
-                }
-            }
+        if (e->model_icache && e->fb[i] != last_fb) {
+            last_fb = e->fb[i];
+            if (fetch_block(e, i, last_fb, &nd) < 0)
+                return NULL;
         }
+        /* ---- issue: LS-unit rate + address dependence ---- */
         double v = li + e->ls_s;
         if (nd > v)
             v = nd;
@@ -720,397 +1215,36 @@ Engine_step(EngineObject *e, PyObject *args)
                 v = c;
         }
         li = v;
-        int load = e->load[i];
+        /* ---- memory access ---- */
+        long long s = e->idx[i];
         long long tag = e->tags[i];
+        int load = e->load[i];
         double comp;
+        e->dc++;
+        if (load)
+            e->ldc++;
+        else
+            e->stc++;
         if (e->l1tag[s] == tag) {
-            /* inlined direct-mapped hit */
-            if (load) {
-                comp = v + (double)e->l1_lat;
-                e->ldc++;
-            }
-            else {
-                comp = v + 1.0;
-                e->l1dirty[s] = 1;
-                e->stc++;
-            }
-            e->l1la[s] = v;
-            e->dc++;
+            /* direct-mapped hit */
             e->hc++;
-            if (PySet_GET_SIZE(e->poisoned)) {
-                PyObject *so = PyLong_FromLongLong(s);
-                if (so == NULL)
-                    goto fail;
-                int r = PySet_Discard(e->poisoned, so);
-                Py_DECREF(so);
-                if (r < 0)
-                    goto fail;
+            e->l1la[s] = v;
+            e->l1touch[s] = 1;
+            if (load)
+                comp = v + (double)e->l1_lat;
+            else {
+                e->l1dirty[s] = 1;
+                comp = v + 1.0;
             }
         }
         else {
-            /* ---- flattened demand miss ---- */
-            e->dc++;
-            if (load)
-                e->ldc++;
-            else
-                e->stc++;
-            e->l1m++;
-            long long block = e->blocks[i];
-            PyObject *blocko = PyLong_FromLongLong(block);
-            if (blocko == NULL)
-                goto fail;
-            PyObject *merged = PyDict_GetItemWithError(e->msh_inf, blocko);
-            if (merged == NULL && PyErr_Occurred()) {
-                Py_DECREF(blocko);
-                goto fail;
-            }
-            double mval = 0.0;
-            if (merged != NULL) {
-                mval = PyFloat_AsDouble(merged);
-                if (mval == -1.0 && PyErr_Occurred()) {
-                    Py_DECREF(blocko);
-                    goto fail;
-                }
-            }
-            if (merged != NULL && mval > v) {
-                /* MSHR merge */
-                e->msh_mg++;
-                e->mgd++;
-                comp = mval;
-                PyObject *so = PyLong_FromLongLong(s);
-                if (so == NULL) {
-                    Py_DECREF(blocko);
-                    goto fail;
-                }
-                int r = PySet_Add(e->poisoned, so);
-                Py_DECREF(so);
-                if (r < 0) {
-                    Py_DECREF(blocko);
-                    goto fail;
-                }
-                Py_ssize_t lp = PySet_GET_SIZE(e->poisoned);
-                if (lp > e->poison_peak)
-                    e->poison_peak = lp;
-                Py_DECREF(blocko);
-            }
-            else {
-                /* MSHR acquire (reap only when full) */
-                double start;
-                if (PyDict_GET_SIZE(e->msh_inf) < e->msh_entries)
-                    start = v;
-                else {
-                    while (e->heap_len && e->heap[0].t <= v) {
-                        HeapItem it;
-                        heap_popmin(e, &it);
-                        if (mshr_del_if_match(e, it.b, it.t) < 0) {
-                            Py_DECREF(blocko);
-                            goto fail;
-                        }
-                    }
-                    if (PyDict_GET_SIZE(e->msh_inf) < e->msh_entries)
-                        start = v;
-                    else {
-                        for (;;) {
-                            if (e->heap_len == 0) {
-                                PyErr_SetString(PyExc_RuntimeError,
-                                                "MSHR heap drained while "
-                                                "the file is full");
-                                Py_DECREF(blocko);
-                                goto fail;
-                            }
-                            HeapItem top = e->heap[0];
-                            int m = mshr_match(e, top.b, top.t);
-                            if (m < 0) {
-                                Py_DECREF(blocko);
-                                goto fail;
-                            }
-                            if (m) {
-                                start = top.t;
-                                break;
-                            }
-                            HeapItem dump;
-                            heap_popmin(e, &dump);
-                        }
-                        e->msh_fs++;
-                        while (e->heap_len && e->heap[0].t <= start) {
-                            HeapItem it;
-                            heap_popmin(e, &it);
-                            if (mshr_del_if_match(e, it.b, it.t) < 0) {
-                                Py_DECREF(blocko);
-                                goto fail;
-                            }
-                        }
-                    }
-                }
-                /* L1/L2 address channel: one command beat */
-                double t_ = start + (double)e->l1_lat;
-                double st_ = t_ > e->a_nf ? t_ : e->a_nf;
-                e->a_nf = st_ + 1.0;
-                e->a_by += 1.0;
-                e->a_qc += st_ - t_;
-                e->a_tr += 1;
-                double arrival = st_ + 1.0;
-                e->l2a++;
-                long long i2 = e->l2i[i];
-                long long t2 = e->l2t[i];
-                PyObject *l2e = PyList_GET_ITEM(e->l2_entries, i2);
-                PyObject *t2o = PyLong_FromLongLong(t2);
-                if (t2o == NULL) {
-                    Py_DECREF(blocko);
-                    goto fail;
-                }
-                PyObject *l2_line = PyDict_GetItemWithError(l2e, t2o);
-                if (l2_line == NULL && PyErr_Occurred()) {
-                    Py_DECREF(t2o);
-                    Py_DECREF(blocko);
-                    goto fail;
-                }
-                double data_ready = 0.0;
-                int fail_inner = 0;
-                if (l2_line != NULL) {
-                    Py_INCREF(l2_line);
-                    /* LRU promote: del + reinsert */
-                    if (PyDict_DelItem(l2e, t2o) < 0 ||
-                        PyDict_SetItem(l2e, t2o, l2_line) < 0 ||
-                        set_attr_double(l2_line, s_last_access, arrival) < 0)
-                        fail_inner = 1;
-                }
-                if (!fail_inner && (l2_line != NULL || e->ideal_l2)) {
-                    e->l2h++;
-                    data_ready = arrival + (double)e->l2_lat;
-                    if (l2_line != NULL) {
-                        int is_pf = attr_true(l2_line, s_prefetched);
-                        if (is_pf < 0)
-                            fail_inner = 1;
-                        else if (is_pf) {
-                            if (PyObject_SetAttr(l2_line, s_prefetched,
-                                                 Py_False) < 0)
-                                fail_inner = 1;
-                            e->pfo++;
-                            e->useful++;
-                        }
-                        if (!fail_inner) {
-                            int err = 0;
-                            double ft2 =
-                                attr_double(l2_line, s_fill_time, &err);
-                            if (err)
-                                fail_inner = 1;
-                            else if (ft2 > arrival && ft2 > data_ready)
-                                data_ready = ft2;
-                        }
-                    }
-                }
-                else if (!fail_inner) {
-                    /* L2 miss: MainMemory.fetch + _fill_l2, inlined */
-                    e->l2m++;
-                    t_ = arrival + (double)e->l2_lat;
-                    st_ = t_ > e->ma_nf ? t_ : e->ma_nf;
-                    e->ma_nf = st_ + 1.0;
-                    e->ma_by += 1.0;
-                    e->ma_qc += st_ - t_;
-                    e->ma_tr += 1;
-                    double start2 = st_ + 1.0;
-                    if (PyList_GET_SIZE(e->mem_comp) >= e->mem_maxc) {
-                        if (PyList_Sort(e->mem_comp) < 0)
-                            fail_inner = 1;
-                        else {
-                            double first = PyFloat_AsDouble(
-                                PyList_GET_ITEM(e->mem_comp, 0));
-                            if (first == -1.0 && PyErr_Occurred())
-                                fail_inner = 1;
-                            else {
-                                if (first > start2)
-                                    start2 = first;
-                                if (memcomp_prefix_filter(e, start2) < 0)
-                                    fail_inner = 1;
-                            }
-                        }
-                    }
-                    if (!fail_inner) {
-                        double ready = start2 + (double)e->mem_lat;
-                        st_ = ready > e->md_nf ? ready : e->md_nf;
-                        e->md_nf = st_ + (double)e->mem_beats;
-                        e->md_by += (double)e->mem_beats;
-                        e->md_qc += st_ - ready;
-                        e->md_tr += 1;
-                        data_ready = st_ + (double)e->mem_beats;
-                        if (list_append_double(e->mem_comp, data_ready) < 0)
-                            fail_inner = 1;
-                        e->mem_acc++;
-                    }
-                    if (!fail_inner) {
-                        PyObject *line2 = PyObject_CallFunction(
-                            e->cacheline, "Ld", t2, data_ready);
-                        if (line2 == NULL)
-                            fail_inner = 1;
-                        else {
-                            if (PyDict_GET_SIZE(l2e) >= e->l2_ways) {
-                                PyObject *fk = dict_first_key(l2e);
-                                Py_INCREF(fk);
-                                PyObject *victim = PyDict_GetItem(l2e, fk);
-                                Py_XINCREF(victim);
-                                if (PyDict_DelItem(l2e, fk) < 0 ||
-                                    PyDict_SetItem(l2e, t2o, line2) < 0)
-                                    fail_inner = 1;
-                                Py_DECREF(fk);
-                                if (!fail_inner && victim != NULL) {
-                                    int vpf =
-                                        attr_true(victim, s_prefetched);
-                                    int vd = attr_true(victim, s_dirty);
-                                    if (vpf < 0 || vd < 0)
-                                        fail_inner = 1;
-                                    else {
-                                        if (vpf)
-                                            e->pfev++;
-                                        if (vd) {
-                                            e->wb2++;
-                                            st_ = data_ready > e->md_nf
-                                                      ? data_ready
-                                                      : e->md_nf;
-                                            e->md_nf =
-                                                st_ + (double)e->mem_beats;
-                                            e->md_by +=
-                                                (double)e->mem_beats;
-                                            e->md_qc += st_ - data_ready;
-                                            e->md_tr += 1;
-                                        }
-                                    }
-                                }
-                                Py_XDECREF(victim);
-                            }
-                            else if (PyDict_SetItem(l2e, t2o, line2) < 0)
-                                fail_inner = 1;
-                            Py_DECREF(line2);
-                        }
-                    }
-                }
-                Py_XDECREF(l2_line);
-                Py_DECREF(t2o);
-                if (fail_inner) {
-                    Py_DECREF(blocko);
-                    goto fail;
-                }
-                /* data return over the L1/L2 data channel */
-                st_ = data_ready > e->d_nf ? data_ready : e->d_nf;
-                e->d_nf = st_ + (double)e->l1_beats;
-                e->d_by += (double)e->l1_beats;
-                e->d_qc += st_ - data_ready;
-                e->d_tr += 1;
-                comp = st_ + (double)e->l1_beats;
-                /* MSHR register (reap at now, then insert) */
-                while (e->heap_len && e->heap[0].t <= v) {
-                    HeapItem it;
-                    heap_popmin(e, &it);
-                    if (mshr_del_if_match(e, it.b, it.t) < 0) {
-                        Py_DECREF(blocko);
-                        goto fail;
-                    }
-                }
-                PyObject *co = PyFloat_FromDouble(comp);
-                if (co == NULL ||
-                    PyDict_SetItem(e->msh_inf, blocko, co) < 0) {
-                    Py_XDECREF(co);
-                    Py_DECREF(blocko);
-                    goto fail;
-                }
-                Py_DECREF(co);
-                if (heap_push(e, comp, block) < 0) {
-                    Py_DECREF(blocko);
-                    goto fail;
-                }
-                Py_ssize_t sz = PyDict_GET_SIZE(e->msh_inf);
-                if (sz > e->msh_pk)
-                    e->msh_pk = sz;
-                /* L1 fill on the planes (+ victim writeback) */
-                long long vt = e->l1tag[s];
-                if (vt == tag) {
-                    e->l1la[s] = comp;
-                    if (!load)
-                        e->l1dirty[s] = 1;
-                }
-                else {
-                    int vd = e->l1dirty[s];
-                    double old_ft = e->l1ft[s];
-                    double old_la = e->l1la[s];
-                    e->l1tag[s] = tag;
-                    e->l1ft[s] = comp;
-                    e->l1la[s] = comp;
-                    e->l1dirty[s] = load ? 0 : 1;
-                    if (vt >= 0) {
-                        if (vd) {
-                            e->wb1++;
-                            st_ = comp > e->d_nf ? comp : e->d_nf;
-                            e->d_nf = st_ + (double)e->l1_beats;
-                            e->d_by += (double)e->l1_beats;
-                            e->d_qc += st_ - comp;
-                            e->d_tr += 1;
-                        }
-                        if (e->needs_evict) {
-                            PyObject *r = PyObject_CallFunction(
-                                e->evict_cb, "LLddd", s, vt, comp, old_ft,
-                                old_la);
-                            if (r == NULL) {
-                                Py_DECREF(blocko);
-                                goto fail;
-                            }
-                            Py_DECREF(r);
-                        }
-                    }
-                }
-                if (PySet_GET_SIZE(e->poisoned)) {
-                    PyObject *so = PyLong_FromLongLong(s);
-                    if (so == NULL) {
-                        Py_DECREF(blocko);
-                        goto fail;
-                    }
-                    int r = PySet_Discard(e->poisoned, so);
-                    Py_DECREF(so);
-                    if (r < 0) {
-                        Py_DECREF(blocko);
-                        goto fail;
-                    }
-                }
-                /* ---- prefetcher training ---- */
-                if (e->tcp_fast) {
-                    if (tcp_train(e, s, tag, block, v) < 0) {
-                        Py_DECREF(blocko);
-                        goto fail;
-                    }
-                }
-                else if (e->has_prefetcher) {
-                    PyObject *reqs = PyObject_CallFunction(
-                        e->observe_cb, "LLLnOd", s, tag, block, i,
-                        load ? Py_False : Py_True, v);
-                    if (reqs == NULL) {
-                        Py_DECREF(blocko);
-                        goto fail;
-                    }
-                    if (reqs != Py_None) {
-                        double launch = v + (double)e->pf_delay;
-                        Py_ssize_t nr = PyList_GET_SIZE(reqs);
-                        for (Py_ssize_t q = 0; q < nr; q++) {
-                            long long pb = PyLong_AsLongLong(
-                                PyList_GET_ITEM(reqs, q));
-                            if (pb == -1 && PyErr_Occurred()) {
-                                Py_DECREF(reqs);
-                                Py_DECREF(blocko);
-                                goto fail;
-                            }
-                            if (issue_pf_c(e, pb, launch) < 0) {
-                                Py_DECREF(reqs);
-                                Py_DECREF(blocko);
-                                goto fail;
-                            }
-                        }
-                    }
-                    Py_DECREF(reqs);
-                }
-                Py_DECREF(blocko);
-            }
+            comp = demand_miss(e, i, s, tag, load, v);
+            if (comp < 0.0)
+                return NULL;
             if (!load)
                 comp = v + 1.0;
         }
-        e->sc++;
+        /* ---- in-order commit ---- */
         e->comp_arr[i] = comp;
         double m = lc + e->inv_cr;
         if (comp > m)
@@ -1123,8 +1257,6 @@ Engine_step(EngineObject *e, PyObject *args)
     e->epi_ns += (long long)(ts1.tv_sec - ts0.tv_sec) * 1000000000LL +
                  (ts1.tv_nsec - ts0.tv_nsec);
     return Py_BuildValue("dddnL", li, lc, nd, P, last_fb);
-fail:
-    return NULL;
 }
 
 /* ================= TCP fast-path training ================= */
@@ -1301,7 +1433,7 @@ fail:
 static PyObject *
 Engine_sync_out(EngineObject *e, PyObject *Py_UNUSED(ignored))
 {
-    if (sync_out_internal(e) < 0)
+    if (sync_out_internal(e) < 0 || l1_sync_out(e) < 0)
         return NULL;
     Py_RETURN_NONE;
 }
@@ -1310,6 +1442,8 @@ static PyObject *
 Engine_sync_in(EngineObject *e, PyObject *Py_UNUSED(ignored))
 {
     if (sync_in_internal(e) < 0)
+        return NULL;
+    if (e->tcp_fast && thtsum_reload(e) < 0)
         return NULL;
     Py_RETURN_NONE;
 }
@@ -1373,9 +1507,7 @@ Engine_take_stats(EngineObject *e, PyObject *Py_UNUSED(ignored))
     PUT("pu", e->pu);
     PUT("pl", e->pl);
     PUT("ph", e->ph);
-    PUT("sc", e->sc);
     PUT("mshr_full_stalls", e->msh_fs);
-    PUT("poisoned_peak", e->poison_peak);
     PUT("epi_ns", e->epi_ns);
 #undef PUT
     e->dc = e->ldc = e->stc = e->hc = e->ifc = 0;
@@ -1384,14 +1516,13 @@ Engine_take_stats(EngineObject *e, PyObject *Py_UNUSED(ignored))
     e->pfr = e->pfi = e->pfred = e->pfdq = e->pfdb = e->pfev = 0;
     e->pfl = e->pfu = e->pfp = e->tl = e->tp = 0;
     e->pu = e->pl = e->ph = 0;
-    e->sc = 0;
     return d;
 }
 
 /* ================= construction / teardown ================= */
 
 static int
-get_buffer(PyObject *spec, const char *key, Py_buffer *view, int writable,
+get_buffer(PyObject *spec, const char *key, Py_buffer *view,
            Py_ssize_t itemsize, void *ptr_out, int *have)
 {
     PyObject *obj = PyDict_GetItemString(spec, key);
@@ -1404,8 +1535,7 @@ get_buffer(PyObject *spec, const char *key, Py_buffer *view, int writable,
         PyErr_Format(PyExc_KeyError, "spec missing array %s", key);
         return -1;
     }
-    int flags = writable ? PyBUF_CONTIG : PyBUF_CONTIG_RO;
-    if (PyObject_GetBuffer(obj, view, flags) < 0)
+    if (PyObject_GetBuffer(obj, view, PyBUF_CONTIG_RO) < 0)
         return -1;
     if (view->itemsize != itemsize) {
         PyErr_Format(PyExc_TypeError, "spec array %s: itemsize %zd != %zd",
@@ -1476,37 +1606,42 @@ Engine_init(EngineObject *e, PyObject *args, PyObject *kwds)
                                      &spec))
         return -1;
     long long tmp;
-#define GETBUF(key, view, writable, isz, field, have)                    \
-    if (get_buffer(spec, key, &e->view, writable, isz, &e->field, have) < 0) \
+#define GETBUF(key, view, isz, field, have)                              \
+    if (get_buffer(spec, key, &e->view, isz, &e->field, have) < 0)       \
         return -1
-    GETBUF("idx", idx_b, 0, 8, idx, NULL);
-    GETBUF("instr", instr_b, 0, 8, instr, NULL);
-    GETBUF("blocks", blocks_b, 0, 8, blocks, NULL);
-    GETBUF("tags", tags_b, 0, 8, tags, NULL);
-    GETBUF("deps", deps_b, 0, 8, deps, NULL);
-    GETBUF("load", load_b, 0, 1, load, NULL);
-    GETBUF("incs", incs_b, 0, 8, incs, NULL);
-    GETBUF("l2i", l2i_b, 0, 8, l2i, NULL);
-    GETBUF("l2t", l2t_b, 0, 8, l2t, NULL);
-    GETBUF("fb", fb_b, 0, 8, fb, &e->have_fb);
-    GETBUF("completions", comp_b, 1, 8, comp_arr, NULL);
-    GETBUF("commits", cmt_b, 1, 8, cmt_arr, NULL);
-    GETBUF("l1_tag", l1tag_b, 1, 8, l1tag, NULL);
-    GETBUF("l1_la", l1la_b, 1, 8, l1la, NULL);
-    GETBUF("l1_ft", l1ft_b, 1, 8, l1ft, NULL);
-    GETBUF("l1_dirty", l1dirty_b, 1, 1, l1dirty, NULL);
-    GETBUF("tht_sums", thtsum_b, 1, 8, thtsum, &e->have_thtsum);
+    GETBUF("idx", idx_b, 8, idx, NULL);
+    GETBUF("instr", instr_b, 8, instr, NULL);
+    GETBUF("blocks", blocks_b, 8, blocks, NULL);
+    GETBUF("tags", tags_b, 8, tags, NULL);
+    GETBUF("deps", deps_b, 8, deps, NULL);
+    GETBUF("load", load_b, 1, load, NULL);
+    GETBUF("incs", incs_b, 8, incs, NULL);
+    GETBUF("l2i", l2i_b, 8, l2i, NULL);
+    GETBUF("l2t", l2t_b, 8, l2t, NULL);
+    GETBUF("pcs", pcs_b, 8, pcs, NULL);
+    GETBUF("fb", fb_b, 8, fb, &e->have_fb);
 #undef GETBUF
-    e->n = e->comp_b.len / (Py_ssize_t)sizeof(double);
+    e->n = e->idx_b.len / (Py_ssize_t)sizeof(long long);
+    Py_buffer *planes[] = {&e->instr_b, &e->blocks_b, &e->tags_b,
+                           &e->deps_b,  &e->incs_b,   &e->l2i_b,
+                           &e->l2t_b,   &e->pcs_b};
+    for (size_t q = 0; q < sizeof(planes) / sizeof(planes[0]); q++) {
+        if (planes[q]->len != e->idx_b.len) {
+            PyErr_SetString(PyExc_ValueError, "trace planes differ in length");
+            return -1;
+        }
+    }
+    if (e->load_b.len != e->n ||
+        (e->have_fb && e->fb_b.len != e->idx_b.len)) {
+        PyErr_SetString(PyExc_ValueError, "trace planes differ in length");
+        return -1;
+    }
 
     if (get_obj(spec, "msh_inf", &e->msh_inf, 0) < 0 ||
-        get_obj(spec, "mem_comp", &e->mem_comp, 0) < 0 ||
-        get_obj(spec, "pf_inflight", &e->pf_inflight, 0) < 0 ||
-        get_obj(spec, "l2_entries", &e->l2_entries, 0) < 0 ||
         get_obj(spec, "l2_sets", &e->l2_sets, 0) < 0 ||
+        get_obj(spec, "l1_lines", &e->l1_lines, 0) < 0 ||
         get_obj(spec, "pht_sets", &e->pht_sets, 1) < 0 ||
         get_obj(spec, "tht_hist", &e->tht_hist, 1) < 0 ||
-        get_obj(spec, "poisoned", &e->poisoned, 0) < 0 ||
         get_obj(spec, "resident", &e->resident, 0) < 0 ||
         get_obj(spec, "cacheline", &e->cacheline, 0) < 0 ||
         get_obj(spec, "l1i_lookup", &e->l1i_lookup, 0) < 0 ||
@@ -1516,8 +1651,15 @@ Engine_init(EngineObject *e, PyObject *args, PyObject *kwds)
         get_obj(spec, "mdb", &e->mdb, 0) < 0 ||
         get_obj(spec, "mshr", &e->mshr, 0) < 0 ||
         get_obj(spec, "memory", &e->memory, 0) < 0 ||
-        get_obj(spec, "hierarchy", &e->hierarchy, 0) < 0)
+        get_obj(spec, "hierarchy", &e->hierarchy, 0) < 0 ||
+        layout_init(e->cacheline, &e->lay) < 0)
         return -1;
+    if (!PyList_Check(e->l2_sets) || !PyList_Check(e->l1_lines) ||
+        (e->tht_hist != NULL && !PyList_Check(e->tht_hist)) ||
+        (e->pht_sets != NULL && !PyList_Check(e->pht_sets))) {
+        PyErr_SetString(PyExc_TypeError, "spec containers must be lists");
+        return -1;
+    }
 
 #define GETLL(key, field)                                                \
     do {                                                                 \
@@ -1541,7 +1683,6 @@ Engine_init(EngineObject *e, PyObject *args, PyObject *kwds)
     GETLL("l2_shift", l2_shift);
     GETLL("l2_imask", l2_imask);
     GETLL("l2_ibits", l2_ibits);
-    GETLL("l1_ib", l1_ib);
     GETLL("l1i_mask", l1i_mask);
     GETLL("l1i_bits", l1i_bits);
     GETLL("seq_mask", seq_mask);
@@ -1553,6 +1694,7 @@ Engine_init(EngineObject *e, PyObject *args, PyObject *kwds)
     GETLL("ideal_l2", ideal_l2);
     GETLL("model_icache", model_icache);
     GETLL("tcp_fast", tcp_fast);
+    GETLL("null_fast", null_fast);
     GETLL("has_prefetcher", has_prefetcher);
     GETLL("needs_evict", needs_evict);
 #undef GETLL
@@ -1564,11 +1706,33 @@ Engine_init(EngineObject *e, PyObject *args, PyObject *kwds)
         PyErr_SetString(PyExc_ValueError, "model_icache without fb plane");
         return -1;
     }
-    if (e->tcp_fast && (e->pht_sets == NULL || e->tht_hist == NULL ||
-                        !e->have_thtsum)) {
+    if (e->tcp_fast && (e->pht_sets == NULL || e->tht_hist == NULL)) {
         PyErr_SetString(PyExc_ValueError, "tcp_fast without THT/PHT state");
         return -1;
     }
+
+    /* engine-owned arrays */
+    Py_ssize_t n = e->n ? e->n : 1;
+    e->l1_sets = PyList_GET_SIZE(e->l1_lines);
+    Py_ssize_t sets = e->l1_sets ? e->l1_sets : 1;
+    e->tht_rows = e->tcp_fast ? PyList_GET_SIZE(e->tht_hist) : 0;
+    e->comp_arr = PyMem_Calloc(n, sizeof(double));
+    e->cmt_arr = PyMem_Calloc(n, sizeof(double));
+    e->l1tag = PyMem_Calloc(sets, sizeof(long long));
+    e->l1la = PyMem_Calloc(sets, sizeof(double));
+    e->l1ft = PyMem_Calloc(sets, sizeof(double));
+    e->l1dirty = PyMem_Calloc(sets, 1);
+    e->l1touch = PyMem_Calloc(sets, 1);
+    e->thtsum = PyMem_Calloc(e->tht_rows ? e->tht_rows : 1,
+                             sizeof(long long));
+    if (!e->comp_arr || !e->cmt_arr || !e->l1tag || !e->l1la || !e->l1ft ||
+        !e->l1dirty || !e->l1touch || !e->thtsum) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    if (l1_load(e) < 0 || sync_in_internal(e) < 0 ||
+        (e->tcp_fast && thtsum_reload(e) < 0))
+        return -1;
     return 0;
 }
 
@@ -1577,22 +1741,28 @@ Engine_dealloc(EngineObject *e)
 {
     Py_buffer *views[] = {
         &e->idx_b, &e->instr_b, &e->blocks_b, &e->tags_b, &e->deps_b,
-        &e->load_b, &e->incs_b, &e->l2i_b, &e->l2t_b, &e->fb_b,
-        &e->comp_b, &e->cmt_b, &e->l1tag_b, &e->l1la_b, &e->l1ft_b,
-        &e->l1dirty_b, &e->thtsum_b,
+        &e->load_b, &e->incs_b, &e->l2i_b, &e->l2t_b, &e->pcs_b, &e->fb_b,
     };
     for (size_t q = 0; q < sizeof(views) / sizeof(views[0]); q++) {
         if (views[q]->obj != NULL)
             PyBuffer_Release(views[q]);
     }
+    PyMem_Free(e->comp_arr);
+    PyMem_Free(e->cmt_arr);
+    PyMem_Free(e->l1tag);
+    PyMem_Free(e->l1la);
+    PyMem_Free(e->l1ft);
+    PyMem_Free(e->l1dirty);
+    PyMem_Free(e->l1touch);
+    PyMem_Free(e->thtsum);
+    PyMem_Free(e->heap);
     Py_XDECREF(e->msh_inf);
     Py_XDECREF(e->mem_comp);
     Py_XDECREF(e->pf_inflight);
-    Py_XDECREF(e->l2_entries);
     Py_XDECREF(e->l2_sets);
+    Py_XDECREF(e->l1_lines);
     Py_XDECREF(e->pht_sets);
     Py_XDECREF(e->tht_hist);
-    Py_XDECREF(e->poisoned);
     Py_XDECREF(e->resident);
     Py_XDECREF(e->cacheline);
     Py_XDECREF(e->l1i_lookup);
@@ -1606,18 +1776,19 @@ Engine_dealloc(EngineObject *e)
     Py_XDECREF(e->ifetch_cb);
     Py_XDECREF(e->observe_cb);
     Py_XDECREF(e->evict_cb);
-    PyMem_Free(e->heap);
     Py_TYPE(e)->tp_free((PyObject *)e);
 }
 
 static PyMethodDef Engine_methods[] = {
     {"step", (PyCFunction)Engine_step, METH_VARARGS,
-     "step(i, limit, li, lc, nd, P, last_fb) -> (li, lc, nd, P, last_fb)\n"
-     "Run the scalar epilogue for accesses [i, limit)."},
+     "step(i, stop, li, lc, nd, P, last_fb) -> (li, lc, nd, P, last_fb)\n"
+     "Run the core loop over accesses [i, stop)."},
     {"sync_out", (PyCFunction)Engine_sync_out, METH_NOARGS,
-     "Write mirrored component scalars back to the live objects."},
+     "Write mirrored component scalars and changed L1D sets back to the "
+     "live objects."},
     {"sync_in", (PyCFunction)Engine_sync_in, METH_NOARGS,
-     "Reload mirrored component scalars and rebuild the MSHR heap."},
+     "Reload mirrored component scalars, rebuild the MSHR heap and "
+     "recompute the THT running sums."},
     {"set_callbacks", (PyCFunction)Engine_set_callbacks, METH_VARARGS,
      "set_callbacks(ifetch_cb, observe_cb, evict_cb)"},
     {"take_stats", (PyCFunction)Engine_take_stats, METH_NOARGS,
@@ -1630,7 +1801,7 @@ static PyTypeObject EngineType = {
     .tp_basicsize = sizeof(EngineObject),
     .tp_itemsize = 0,
     .tp_flags = Py_TPFLAGS_DEFAULT,
-    .tp_doc = "Compiled scalar epilogue operating on live simulator state.",
+    .tp_doc = "Compiled core loop operating on live simulator state.",
     .tp_new = PyType_GenericNew,
     .tp_init = (initproc)Engine_init,
     .tp_dealloc = (destructor)Engine_dealloc,
@@ -1640,7 +1811,7 @@ static PyTypeObject EngineType = {
 static struct PyModuleDef native_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_native",
-    .m_doc = "Compiled scalar epilogue for the native simulation backend.",
+    .m_doc = "Compiled core loop for the native simulation backend.",
     .m_size = -1,
 };
 
@@ -1654,10 +1825,6 @@ PyInit__native(void)
             return NULL;                                                 \
     } while (0)
     INTERN(s_entries, "_entries");
-    INTERN(s_last_access, "last_access");
-    INTERN(s_prefetched, "prefetched");
-    INTERN(s_fill_time, "fill_time");
-    INTERN(s_dirty, "dirty");
     INTERN(s_next_free, "next_free");
     INTERN(s_busy_cycles, "busy_cycles");
     INTERN(s_queued_cycles, "queued_cycles");
@@ -1681,7 +1848,7 @@ PyInit__native(void)
         Py_DECREF(m);
         return NULL;
     }
-    if (PyModule_AddIntConstant(m, "ABI_VERSION", 1) < 0) {
+    if (PyModule_AddIntConstant(m, "ABI_VERSION", 2) < 0) {
         Py_DECREF(m);
         return NULL;
     }

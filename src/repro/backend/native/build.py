@@ -3,7 +3,7 @@
 Resolution order (memoised once per process):
 
 1. ``REPRO_NATIVE=0`` disables the extension outright (the no-compiler
-   CI job uses this to assert the clean numpy fallback).
+   CI job uses this to assert the clean python fallback).
 2. A prebuilt ``_native`` importable from the package (what
    ``pip install .[native]`` leaves in site-packages).
 3. A cached build under ``~/.cache/repro-tcp/native/<digest>/``, keyed

@@ -3,8 +3,8 @@
 A thin adapter over :class:`repro.cpu.OutOfOrderCore` — the engine
 path PR 3 carved out and the 156-run oracle froze.  Every other
 backend is defined as "bit-identical to this one"; it is also the
-fallback for configurations the vector backend does not cover (see
-:mod:`repro.backend.vector`).
+fallback for configurations the native backend does not cover (see
+:mod:`repro.backend.native`).
 """
 
 from __future__ import annotations

@@ -23,12 +23,12 @@ exist as a result.  This package provides it:
     worker pool with the mmap-backed trace cache — enforces per-cell
     result equality, and emits ``BENCH_campaign.json``.
 :mod:`repro.bench.backend`
-    The backend-layer benchmark: pits the numpy batch-stepping backend
+    The backend-layer benchmark: pits the compiled ``native`` backend
     against the ``python`` reference per (workload, prefetcher) cell,
     enforces bit-identical results, and emits ``BENCH_backend.json``.
 
 Run them with ``repro-tcp bench`` / ``repro-tcp bench --campaign`` /
-``repro-tcp bench --backend numpy`` (see ``docs/usage.md``) or
+``repro-tcp bench --backend native`` (see ``docs/usage.md``) or
 ``python -m repro.bench``.
 """
 

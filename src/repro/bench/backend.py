@@ -2,9 +2,8 @@
 
 For every (workload, prefetcher) pair the benchmark runs the same
 trace under the ``python`` reference backend and under each contender
-backend (by default ``numpy`` plus, when the compiled extension is
-available, ``native``) — each on a cold machine, taking the best of
-``repeats`` timed runs.  Every arm must commit exactly the same cycles
+backend (by default ``native``) — each on a cold machine, taking the
+best of ``repeats`` timed runs.  Every arm must commit exactly the same cycles
 and hierarchy statistics (enforced here and by
 ``benchmarks/test_backend_perf.py``); the throughput ratios are the
 backend layer's speedups.  Like the hot-path bench, the ratios compare
@@ -13,18 +12,14 @@ across machines even though raw accesses/sec are not.
 
 Methodology notes:
 
-* Arms share one trace object, so the batch engines' per-trace plane
-  cache (:mod:`repro.backend.vector.engine`) is warm after the first
+* Arms share one trace object, so the native engine's per-trace plane
+  cache (:mod:`repro.backend.native.engine`) is warm after the first
   repeat — the reported number is steady-state throughput, matching
   how campaigns re-simulate one trace under many configurations.
-* Each cell records every contender's batch coverage (the fraction of
-  accesses stepped in batches).  Coverage is the speedup's ceiling:
-  accesses outside a batch run through the scalar epilogue.
-* The ``native`` engine times its compiled epilogue internally
-  (``engine_stats["epilogue_ns"]``), so its cells also report the
-  batch-vs-epilogue wall-time split — where a cell's remaining time
-  goes once the epilogue is compiled.  The numpy engine's epilogue is
-  interleaved Python and not separately clocked, so its split is null.
+* The ``native`` engine clocks the time spent inside its C loop
+  (``engine_stats["epilogue_ns"]``); each cell reports it as
+  ``epilogue_seconds``, measured, next to the arm's wall time.  A run
+  that fell back to the reference loop reports its reason instead.
 
 The result is written to ``BENCH_backend.json``; the committed copy at
 the repository root is the baseline the CI backend-parity job compares
@@ -32,7 +27,9 @@ against.
 
 Schema history: v1 had a single hard-wired contender with flat
 ``speedup``/``batch_coverage`` keys per row; v2 nests one record per
-contender under ``contenders`` and adds the wall-time split.
+contender under ``contenders`` and adds the wall-time split; v3 drops
+the batch-engine columns (``batch_coverage`` and the derived
+``batch_seconds``).
 """
 
 from __future__ import annotations
@@ -56,7 +53,7 @@ __all__ = [
 ]
 
 #: schema tag embedded in every result file (bump on layout changes).
-SCHEMA = "repro-tcp/backend-bench/v2"
+SCHEMA = "repro-tcp/backend-bench/v3"
 
 #: the fig11-mix defaults, matching the hot-path bench: a dense-stride
 #: scientific workload, a pointer-chasing memory-bound one, and an
@@ -67,15 +64,10 @@ DEFAULT_PREFETCHERS: Tuple[str, ...] = ("none", "nextline", "tcp-8k")
 
 
 def default_contenders() -> Tuple[str, ...]:
-    """The arms to pit against the reference on this host: ``numpy``
-    always, plus ``native`` when the compiled extension loads (a
-    native arm that silently fell back to numpy would just time numpy
-    twice and report a misleading three-way comparison)."""
-    from repro.backend.native import build
-
-    if build.load() is not None:
-        return ("numpy", "native")
-    return ("numpy",)
+    """The arms to pit against the reference: ``native``.  Without the
+    compiled extension it falls back to the reference loop, and every
+    cell says so in its ``fallback`` column."""
+    return ("native",)
 
 
 def _check_backend_name(role: str, name: str) -> None:
@@ -151,8 +143,7 @@ def run_backend_bench(
         (default: the ``python`` interpreted loop).
     contenders:
         Backend names to pit against the baseline.  Default:
-        :func:`default_contenders` — ``numpy`` plus ``native`` when
-        the compiled extension is available on this host.
+        :func:`default_contenders` (``native``).
     output:
         Path to write the JSON document to (``BENCH_backend.json``).
     log:
@@ -205,29 +196,20 @@ def run_backend_bench(
                         f"hierarchy statistics differ between {baseline} "
                         f"and {cont}"
                     )
-                batched = engine_stats.get("batched_accesses")
-                coverage = (
-                    batched / accesses if isinstance(batched, int) else None
-                )
                 epilogue_ns = engine_stats.get("epilogue_ns")
-                if isinstance(epilogue_ns, int):
-                    epilogue_s: Optional[float] = epilogue_ns / 1e9
-                    batch_s: Optional[float] = max(cont_s - epilogue_s, 0.0)
-                else:
-                    epilogue_s = batch_s = None
+                epilogue_s = (
+                    epilogue_ns / 1e9 if isinstance(epilogue_ns, int) else None
+                )
                 arm: Dict[str, object] = {
                     "accesses_per_sec": accesses / cont_s,
                     "speedup": base_s / cont_s,
-                    "batch_coverage": coverage,
                     "fallback": engine_stats.get("fallback"),
-                    "batch_seconds": batch_s,
                     "epilogue_seconds": epilogue_s,
                 }
                 entry["contenders"][cont] = arm  # type: ignore[index]
                 if log is not None:
-                    cov = f"{coverage:.0%}" if coverage is not None else "n/a"
                     split = (
-                        f", epilogue {epilogue_s / cont_s:.0%} of wall"
+                        f", C loop {epilogue_s / cont_s:.0%} of wall"
                         if epilogue_s is not None and cont_s > 0
                         else ""
                     )
@@ -236,8 +218,7 @@ def run_backend_bench(
                         f"{arm['accesses_per_sec']:10.0f} acc/s  "
                         f"({baseline} "
                         f"{entry[f'{baseline}_accesses_per_sec']:10.0f}, "
-                        f"speedup {arm['speedup']:.2f}x, batched {cov}"
-                        f"{split})\n"
+                        f"speedup {arm['speedup']:.2f}x{split})\n"
                     )
                     log.flush()
             results.append(entry)

@@ -155,7 +155,7 @@ def run_hotpath_bench(
         "scale": scale.name.lower(),
         "repeats": repeats,
         # Both arms time the interpreted per-access loop, i.e. the
-        # "python" backend's engine; the numpy backend has its own
+        # "python" backend's engine; the native backend has its own
         # bench (repro.bench.backend -> BENCH_backend.json).
         "backend": "python",
         "python": platform.python_version(),

@@ -782,7 +782,7 @@ def _cmd_bench_backend(args: argparse.Namespace) -> int:
     if args.backend == "python":
         print(
             "error: the python backend is the bench's reference arm; "
-            "pick a contender (numpy, native) or use --campaign",
+            "pick a contender (native) or use --campaign",
             file=sys.stderr,
         )
         return 2

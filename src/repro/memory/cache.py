@@ -237,6 +237,17 @@ class SetAssociativeCache(Component):
             return [] if line is None else [line]
         return [line for _, line in self._sets[index].items()]
 
+    def prefetched_count(self) -> int:
+        """Resident lines whose ``prefetched`` bit is still set."""
+        if self._direct_mapped:
+            return sum(1 for line in self._lines if line is not None and line.prefetched)
+        count = 0
+        for lru in self._sets:
+            for line in lru._entries.values():
+                if line.prefetched:
+                    count += 1
+        return count
+
     def occupancy(self) -> int:
         """Total number of resident lines."""
         if self._direct_mapped:

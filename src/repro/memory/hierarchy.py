@@ -682,12 +682,7 @@ class MemoryHierarchy:
 
     def finalize(self) -> None:
         """Account for prefetched blocks still unused at end of run."""
-        residual = 0
-        for index in range(self.params.l2.sets):
-            for line in self.l2d.resident_lines(index):
-                if line.prefetched:
-                    residual += 1
-        self.stats.prefetch_residual_unused += residual
+        self.stats.prefetch_residual_unused += self.l2d.prefetched_count()
 
     def reset(self) -> None:
         """Re-create all state for a fresh run (same configuration)."""

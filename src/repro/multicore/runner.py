@@ -10,7 +10,7 @@ plus the shared-L2 ownership check), interleaves the cores with
 :class:`~repro.multicore.results.MixResult`.
 
 Mix runs always execute on the reference (pure-Python) core engine —
-the numpy/native batch engines are single-stream by design — and the
+the native C loop is single-stream by design — and the
 result records that via ``backend_fallback="multicore"`` through the
 existing provenance path.
 """

@@ -95,7 +95,7 @@ class SimulationConfig:
     #: Checking never changes simulated results, so this field is
     #: excluded from the store's config fingerprint.
     sanitize: Optional[str] = None
-    #: simulation backend ("python" | "numpy"); None defers to the
+    #: simulation backend ("python" | "native"); None defers to the
     #: ``REPRO_BACKEND`` environment variable (default "python").
     #: Backends are required to be bit-identical, so the field is
     #: ``repr=False``: it stays out of ``repr()``-derived store

@@ -65,7 +65,7 @@ def index_geometry(count: int) -> "tuple[int, int]":
     """Return ``(index_bits, index_mask)`` for a power-of-two table size.
 
     Every power-of-two-sized lookup structure in the simulator — cache
-    set arrays, THT rows, PHT sets, the vector backend's state planes —
+    set arrays, THT rows, PHT sets, the native backend's L1I geometry —
     derives the same pair of constants from its entry count: the number
     of index bits and the mask selecting them.  Centralising the pair
     here keeps the derivations identical everywhere (they used to be

@@ -1,10 +1,10 @@
-"""Scalar-epilogue edge cases, differential across every backend.
+"""Miss-path edge cases, differential between the C loop and the reference.
 
-The numpy and native backends share one epilogue specification — the
-inlined miss path (MSHR, L2, buses, prefetch issue) plus the TCP fast
-path (THT running sums, PHT truncated-add indexing).  These tests aim
+The native backend transcribes the reference miss path into C — the
+inlined MSHR, L2, bus and prefetch-issue logic plus the TCP fast path
+(THT running sums, PHT truncated-add indexing).  These tests aim
 adversarial traces at the three mechanisms most likely to diverge
-between the Python and C transcriptions of that specification:
+between the Python and C versions:
 
 * the MSHR's lazy-deletion ready heap under merge storms — repeated
   same-block misses merging into in-flight entries while a tiny MSHR
@@ -36,7 +36,7 @@ from repro.memory.hierarchy import HierarchyParams
 from repro.sim.config import SimulationConfig
 from repro.workloads import Trace
 
-CONTENDERS = ("numpy", "native")
+CONTENDERS = ("native",)
 
 
 def _require(contender: str) -> None:

@@ -1,8 +1,8 @@
 """Randomized differential testing of the simulation backends.
 
 Hypothesis drives arbitrary small traces and machine shapes through
-the ``python`` reference backend and every contender (``numpy``, and
-``native`` when the compiled extension is available) and requires
+the ``python`` reference backend and the ``native`` backend (when the
+compiled extension is available) and requires
 bit-identical outcomes — the randomized counterpart to the
 hand-picked boundary cases in ``tests/test_backend.py``.  Shrinking
 makes a divergence actionable: the reported counterexample is the
@@ -32,9 +32,9 @@ from repro.sim import SimulationConfig, simulate
 from repro.sim.runner import clear_cache
 from repro.workloads import BENCHMARK_ORDER, Scale, Trace
 
-#: prefetcher labels the fuzz cycles through — the batched path
-#: (none/nextline/tcp-8k) plus one fallback config (hybrid-8k) so the
-#: reference-loop delegation is fuzzed too.
+#: prefetcher labels the fuzz cycles through — the C loop's null, generic
+#: and TCP training paths (none/nextline/tcp-8k) plus one fallback
+#: config (hybrid-8k) so the reference-loop delegation is fuzzed too.
 FUZZ_LABELS = ("none", "nextline", "tcp-8k", "hybrid-8k")
 
 #: the oracle grid: the paper's headline configurations.
@@ -43,7 +43,7 @@ ORACLE_LABELS = ("none", "nextline", "tcp-8k", "tcp-8m", "dbcp-2m", "hybrid-8k")
 #: every backend compared against the reference.  ``native`` stays in
 #: the grid even when the extension is missing — those cells skip with
 #: the reason, so a CI log shows exactly what was not covered.
-CONTENDERS = ("numpy", "native")
+CONTENDERS = ("native",)
 
 
 def _require(contender):

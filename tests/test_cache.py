@@ -121,6 +121,21 @@ class TestSetAssociative:
     def test_storage_bytes(self):
         assert small_assoc(4).storage_bytes() == 512
 
+    @pytest.mark.parametrize("make", (small_dm, small_assoc))
+    def test_prefetched_count_matches_resident_lines(self, make):
+        cache = make()
+        for index, tag, prefetched in ((0, 1, True), (1, 2, False), (2, 3, True), (2, 4, True)):
+            cache.fill(index, tag, 0.0, prefetched=prefetched)
+        cache.lookup(2, 4, False, 1.0).prefetched = False  # a demand use
+        expected = sum(
+            1
+            for index in range(cache.geometry.sets)
+            for line in cache.resident_lines(index)
+            if line.prefetched
+        )
+        assert cache.prefetched_count() == expected
+        assert expected == (2 if cache.geometry.ways > 1 else 1)
+
 
 class TestCacheLine:
     def test_repr_flags(self):
