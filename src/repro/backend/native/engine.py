@@ -30,7 +30,7 @@ from repro.core.indexing import IndexFunction
 from repro.core.tcp import TagCorrelatingPrefetcher
 from repro.cpu.core import CoreParams, CoreResult
 from repro.engine.events import EvictionEvent, MissEvent
-from repro.engine.probes import CoreMark, Probe, resolve_probes
+from repro.engine.probes import CoreMark, Probe
 from repro.memory.cache import CacheLine
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.prefetchers.null import NullPrefetcher
@@ -136,7 +136,7 @@ class NativeCore:
             )
         if hierarchy.l2d._direct_mapped:
             raise ValueError("NativeCore requires a set-associative L2")
-        active_probes = resolve_probes(None, 2048, None, probes)
+        active_probes = tuple(probes or ())
         self.engine_stats = {"epilogue_ns": 0}
 
         planes = _trace_planes(trace, hierarchy)

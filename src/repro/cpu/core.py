@@ -38,15 +38,20 @@ Hot-loop engineering notes
   taps) attaches through :mod:`repro.engine.probes`; the loop itself
   pays one integer compare per access and fires all probes at shared
   periodic marks.
+* The loop is written once, as the generator behind
+  :meth:`OutOfOrderCore.steps`, which yields the dispatch clock after
+  every access.  :meth:`OutOfOrderCore.run` drains it; the multicore
+  interleaver steps one per core.  One generator resume per access
+  is small next to the loop body itself.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Generator, Optional, Sequence, Tuple
 
-from repro.engine.probes import CoreMark, Probe, resolve_probes
+from repro.engine.probes import CoreMark, Probe
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.workloads.trace import Trace
 
@@ -99,9 +104,6 @@ class OutOfOrderCore:
         trace: Trace,
         hierarchy: MemoryHierarchy,
         warmup: int = 0,
-        progress: Optional[Callable[[int, int, float], None]] = None,
-        progress_interval: int = 2048,
-        sanitizer: Optional[object] = None,
         probes: Optional[Sequence[Probe]] = None,
     ) -> CoreResult:
         """Simulate the whole trace; returns the timing result.
@@ -114,28 +116,59 @@ class OutOfOrderCore:
         ``hierarchy.stats`` (and snapshot/``since`` for warmup
         exclusion).
 
-        Observation attaches through probes (:mod:`repro.engine.
-        probes`).  ``progress`` and ``sanitizer`` are convenience
-        keywords wrapped into :class:`~repro.engine.probes.
-        ProgressProbe` / :class:`~repro.engine.probes.SanitizerProbe`;
-        ``probes`` passes additional taps directly.  All probes fire at
-        shared marks spaced by the smallest attached interval,
-        progress-style hooks before checking ones; an uninstrumented
-        run pays exactly one integer compare per access.  Probes'
-        ``on_finalize`` is NOT called here — end-of-run hooks belong to
-        the caller, after ``hierarchy.finalize()``.
+        Observation attaches through ``probes`` (:mod:`repro.engine.
+        probes`), fired in list order at shared marks spaced by the
+        smallest attached interval; an uninstrumented run pays exactly
+        one integer compare per access.  Probes' ``on_finalize`` is NOT
+        called here — end-of-run hooks belong to the caller, after
+        ``hierarchy.finalize()``.
         """
-        params = self.params
+        stepper = self.steps(trace, hierarchy, warmup, probes)
+        step = stepper.__next__
+        try:
+            while True:
+                step()
+        except StopIteration as done:
+            return done.value
+
+    def steps(
+        self,
+        trace: Trace,
+        hierarchy: MemoryHierarchy,
+        warmup: int = 0,
+        probes: Optional[Sequence[Probe]] = None,
+    ) -> Generator[float, None, CoreResult]:
+        """:meth:`run` as a resumable stepper.
+
+        Returns a generator that performs one access per ``next()`` and
+        yields the core-local dispatch clock after it (the next access
+        cannot dispatch earlier); its return value — the
+        ``StopIteration.value`` — is the :class:`CoreResult` that
+        :meth:`run` reports.  The multicore interleaver
+        (:mod:`repro.multicore.engine`) steps several of these against
+        one shared hierarchy.  Arguments are checked here, at the call,
+        not at the first ``next()``.
+        """
         n = len(trace)
         if not 0 <= warmup < max(n, 1):
             raise ValueError(f"warmup ({warmup}) must be < trace length ({n})")
+        return self._steps(trace, hierarchy, warmup, tuple(probes or ()))
+
+    def _steps(
+        self,
+        trace: Trace,
+        hierarchy: MemoryHierarchy,
+        warmup: int,
+        active_probes: Tuple[Probe, ...],
+    ) -> Generator[float, None, CoreResult]:
+        params = self.params
+        n = len(trace)
         if n == 0:
             return CoreResult(0, 0.0, 0)
-        active_probes = resolve_probes(progress, progress_interval, sanitizer, probes)
 
         geometry = hierarchy.params.l1d
         blocks_arr, indices_arr, tags_arr = geometry.decompose_array(trace.addrs)
-        max_dep = int(trace.deps.max()) if n else 0
+        max_dep = int(trace.deps.max())
         # One bulk conversion to Python scalars: list indexing yields
         # ready-to-use ints/bools, where numpy scalar indexing would
         # box a numpy scalar per element and need an int() call on
@@ -261,6 +294,8 @@ class OutOfOrderCore:
                 mark = CoreMark(i + 1, n, len(rob), window, last_commit, now_dispatch)
                 for probe in active_probes:
                     probe.on_mark(mark, hierarchy)
+
+            yield now_dispatch
 
         total_instructions = trace.instruction_count
         trailing = total_instructions - instr_num

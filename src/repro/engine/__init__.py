@@ -21,7 +21,7 @@ separated from the concrete machine models in :mod:`repro.memory` and
 
 The hot path itself lives in :meth:`repro.memory.hierarchy.
 MemoryHierarchy.access_time` (a flat, allocation-free fast path) and
-:meth:`repro.cpu.core.OutOfOrderCore.run`; this package defines what
+:meth:`repro.cpu.core.OutOfOrderCore.steps`; this package defines what
 crosses their boundaries.
 """
 
@@ -38,7 +38,6 @@ from repro.engine.probes import (
     Probe,
     ProgressProbe,
     SanitizerProbe,
-    resolve_probes,
 )
 
 __all__ = [
@@ -52,5 +51,4 @@ __all__ = [
     "Probe",
     "ProgressProbe",
     "SanitizerProbe",
-    "resolve_probes",
 ]

@@ -13,17 +13,18 @@ attached probe requests, and every probe runs at every mark.  This
 reproduces the seed semantics where an attached sanitizer tightened
 the progress cadence to its own interval (the sanitizer must observe
 state at the same mark where a fault-injection hook may have corrupted
-it — see :func:`repro.sim.runner._execute`).
+it).
 
-Ordering: probes run in list order.  :func:`resolve_probes` puts the
-progress probe first and the sanitizer probe last, preserving the
-seed's documented "progress before checks" contract.
+Ordering: probes run in list order, and the loop takes the list as
+given.  :func:`repro.sim.runner.build_probes` assembles it for both
+the single-core and the mix runner, and owns the "progress before
+checks" contract.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence, Tuple
+from typing import Any, Callable
 
 __all__ = [
     "CoreMark",
@@ -31,7 +32,6 @@ __all__ = [
     "Probe",
     "ProgressProbe",
     "SanitizerProbe",
-    "resolve_probes",
 ]
 
 #: progress-callback signature: (accesses_done, accesses_total, sim_time).
@@ -233,28 +233,3 @@ class SanitizerProbe(Probe):
     def on_finalize(self, hierarchy: Any) -> None:
         self.sanitizer.finalize(hierarchy)
 
-
-def resolve_probes(
-    progress: Optional[ProgressCallback],
-    progress_interval: int,
-    sanitizer: Optional[Any],
-    probes: Optional[Sequence[Probe]],
-) -> Tuple[Probe, ...]:
-    """Merge the legacy keyword hooks and explicit probes into one list.
-
-    Order: progress first, explicit probes in caller order, sanitizer
-    last ("progress before checks": a fault-injection progress hook
-    must corrupt state *before* the sanitizer observes the same mark).
-    """
-    if progress_interval <= 0:
-        raise ValueError(
-            f"progress interval must be positive, got {progress_interval}"
-        )
-    resolved: list = []
-    if progress is not None:
-        resolved.append(ProgressProbe(progress, progress_interval))
-    if probes:
-        resolved.extend(probes)
-    if sanitizer is not None:
-        resolved.append(SanitizerProbe(sanitizer))
-    return tuple(resolved)

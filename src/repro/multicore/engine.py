@@ -26,10 +26,12 @@ Core ``c``'s addresses and PCs are offset by ``c << CORE_ADDR_BITS``
 
 Interleaving rule
 -----------------
-The scheduler steps one memory access at a time on the core whose
-core-local dispatch clock is smallest, tie-broken by benchmark name
-and then core id.  The name in the key makes distinct-benchmark mixes
-*permutation-equivariant*: reordering the core slots reorders which
+Every core runs the single-core model itself: one
+:meth:`repro.cpu.core.OutOfOrderCore.steps` stepper per core, which
+performs one access per step and yields the core-local dispatch
+clock.  :func:`run_cores` steps the core whose clock is smallest,
+tie-broken by benchmark name and then core id.  The name in the key
+makes distinct-benchmark mixes *permutation-equivariant*: reordering the core slots reorders which
 core performs each global event but not the event sequence itself, so
 per-core statistics follow the permutation exactly.
 
@@ -50,13 +52,11 @@ additionally recorded as interference attribution.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cpu.core import CoreParams, CoreResult
-from repro.engine.probes import CoreMark, Probe
+from repro.cpu.core import CoreResult
 from repro.memory.bus import Bus
 from repro.memory.hierarchy import HierarchyParams, MemoryHierarchy
 from repro.multicore.results import CoreAttribution
@@ -66,7 +66,6 @@ __all__ = [
     "CORE_ADDR_BITS",
     "AttributedBus",
     "CoreHierarchy",
-    "CoreRunner",
     "SharedFabric",
     "offset_trace",
     "run_cores",
@@ -296,203 +295,31 @@ class CoreHierarchy(MemoryHierarchy):
         self.fabric.finalize()
 
 
-class CoreRunner:
-    """One core's trace walk as a resumable stream of accesses.
-
-    The body of :meth:`repro.cpu.core.OutOfOrderCore.run` transcribed
-    into a generator that yields the core-local dispatch clock after
-    every access — the scheduler's interleaving key.  The float-op
-    sequence is kept identical to the reference loop so a 1-core mix
-    is bit-identical to the single-core engine.
-    """
-
-    def __init__(
-        self,
-        core_id: int,
-        trace: Trace,
-        hierarchy: CoreHierarchy,
-        params: CoreParams,
-        warmup: int = 0,
-        probes: Optional[Sequence[Probe]] = None,
-    ) -> None:
-        n = len(trace)
-        if not 0 <= warmup < max(n, 1):
-            raise ValueError(f"warmup ({warmup}) must be < trace length ({n})")
-        self.core_id = core_id
-        self.workload = trace.name
-        self.trace = trace
-        self.hierarchy = hierarchy
-        self.params = params
-        self.warmup = warmup
-        self.probes = tuple(probes or ())
-        self.clock = float(params.frontend_depth)
-        self.result: Optional[CoreResult] = None
-        self._gen = self._run()
-
-    def step(self) -> bool:
-        """Advance one access; False when the core has finished."""
-        try:
-            self.clock = next(self._gen)
-            return True
-        except StopIteration:
-            return False
-
-    def _run(self):
-        params = self.params
-        trace = self.trace
-        hierarchy = self.hierarchy
-        warmup = self.warmup
-        active_probes = self.probes
-        n = len(trace)
-        if n == 0:
-            self.result = CoreResult(0, 0.0, 0)
-            return
-
-        geometry = hierarchy.params.l1d
-        blocks_arr, indices_arr, tags_arr = geometry.decompose_array(trace.addrs)
-        max_dep = int(trace.deps.max()) if n else 0
-        blocks = blocks_arr.tolist()
-        indices = indices_arr.tolist()
-        tags = tags_arr.tolist()
-        gaps = trace.gaps.tolist()
-        deps = trace.deps.tolist()
-        is_load = trace.is_load.tolist()
-        pcs = trace.pcs.tolist()
-        model_icache = hierarchy.params.model_icache
-        access_time = hierarchy.access_time
-        ifetch = hierarchy.instruction_fetch
-        ifetch_offset_bits = hierarchy.params.l1i.offset_bits
-        last_ifetch_block = hierarchy._last_ifetch_block
-
-        dispatch_rate = min(float(params.issue_width), trace.base_ipc)
-        commit_rate = float(params.issue_width)
-        window = params.window
-        lsq = params.lsq
-        ls_interval = 1.0 / params.ls_units
-
-        ring = 1
-        while ring < max(lsq, max_dep + 1, 512):
-            ring <<= 1
-        ring_mask = ring - 1
-        completions = [0.0] * ring
-        commits = [0.0] * ring
-
-        rob: deque = deque()
-        rob_append = rob.append
-        rob_popleft = rob.popleft
-
-        now_dispatch = float(params.frontend_depth)
-        last_mem_issue = 0.0
-        last_commit = 0.0
-        instr_num = 0
-        warmup_instr = 0
-        warmup_commit = 0.0
-        inv_commit_rate = 1.0 / commit_rate
-
-        if active_probes:
-            mark_interval = min(probe.interval for probe in active_probes)
-            next_mark = mark_interval
-        else:
-            mark_interval = 0
-            next_mark = n + 1
-
-        for i in range(n):
-            if i == warmup and warmup:
-                warmup_instr = instr_num
-                warmup_commit = last_commit
-                hierarchy.mark_warmup_end()
-            gap = gaps[i]
-            instr_num += gap + 1
-
-            # --- dispatch: frontend bandwidth + window occupancy ------
-            now_dispatch += (gap + 1) / dispatch_rate
-            window_floor = instr_num - window
-            while rob and rob[0][0] <= window_floor:
-                entry = rob_popleft()
-                if entry[1] > now_dispatch:
-                    now_dispatch = entry[1]
-            if i >= lsq:
-                lsq_release = commits[(i - lsq) & ring_mask]
-                if lsq_release > now_dispatch:
-                    now_dispatch = lsq_release
-
-            if model_icache:
-                pc = pcs[i]
-                fetch_block = pc >> ifetch_offset_bits
-                if fetch_block != last_ifetch_block:
-                    last_ifetch_block = fetch_block
-                    penalty = ifetch(now_dispatch, pc)
-                    if penalty > 0.0:
-                        now_dispatch += penalty
-
-            # --- issue: LS-unit throughput + address dependence -------
-            issue = now_dispatch
-            if last_mem_issue + ls_interval > issue:
-                issue = last_mem_issue + ls_interval
-            dep = deps[i]
-            if dep:
-                data_ready = completions[(i - dep) & ring_mask]
-                if data_ready > issue:
-                    issue = data_ready
-            last_mem_issue = issue
-
-            # --- memory access ----------------------------------------
-            load = is_load[i]
-            completion = access_time(
-                issue, indices[i], tags[i], blocks[i], not load, pcs[i]
-            )
-            if not load:
-                completion = issue + 1.0
-            completions[i & ring_mask] = completion
-
-            # --- in-order commit --------------------------------------
-            commit = last_commit + inv_commit_rate
-            if completion > commit:
-                commit = completion
-            last_commit = commit
-            commits[i & ring_mask] = commit
-            rob_append((instr_num, commit))
-
-            if i + 1 == next_mark:
-                next_mark += mark_interval
-                mark = CoreMark(i + 1, n, len(rob), window, last_commit, now_dispatch)
-                for probe in active_probes:
-                    probe.on_mark(mark, hierarchy)
-
-            # Hand the interleaver this core's local frontend time: the
-            # next access cannot dispatch before it.
-            yield now_dispatch
-
-        total_instructions = trace.instruction_count
-        trailing = total_instructions - instr_num
-        measured_instructions = total_instructions - warmup_instr
-        cycles = last_commit + trailing / dispatch_rate - warmup_commit
-        self.result = CoreResult(measured_instructions, cycles, n - warmup)
-
-
-def run_cores(runners: Sequence[CoreRunner]) -> List[CoreResult]:
+def run_cores(
+    workloads: Sequence[str],
+    steppers: Sequence[Generator[float, None, CoreResult]],
+) -> List[CoreResult]:
     """Interleave the cores to completion; per-core results in order.
 
-    Scheduling: one access at a time on the core with the smallest
-    ``(local clock, benchmark name, core id)`` key.  The comparison is
-    pure — no randomness, no wall-clock — so the interleaving (and
+    ``steppers[c]`` is core ``c``'s :meth:`OutOfOrderCore.steps
+    <repro.cpu.core.OutOfOrderCore.steps>` generator and
+    ``workloads[c]`` its benchmark name.  Scheduling: one access at a
+    time on the core with the smallest ``(local clock, benchmark name,
+    core id)`` key, where the local clock is the dispatch clock the
+    core's stepper last yielded.  Every core starts at the same clock,
+    so the first round runs in (name, core id) order.  The comparison
+    is pure — no randomness, no wall-clock — so the interleaving (and
     hence every shared-state mutation order) is a deterministic
     function of the mix.
     """
-    if not runners:
-        return []
-    active = [runner for runner in runners if runner.result is None]
+    clocks = [0.0] * len(steppers)
+    results: List[Optional[CoreResult]] = [None] * len(steppers)
+    active = list(range(len(steppers)))
     while active:
-        runner = min(
-            active, key=lambda r: (r.clock, r.workload, r.core_id)
-        )
-        if not runner.step():
-            active.remove(runner)
-    results = []
-    for runner in runners:
-        if runner.result is None:
-            raise RuntimeError(
-                f"core {runner.core_id} finished without a result"
-            )
-        results.append(runner.result)
+        core_id = min(active, key=lambda c: (clocks[c], workloads[c], c))
+        try:
+            clocks[core_id] = next(steppers[core_id])
+        except StopIteration as done:
+            results[core_id] = done.value
+            active.remove(core_id)
     return results

@@ -3,30 +3,30 @@
 The multicore analogue of :func:`repro.sim.runner._execute`.  Builds
 one :class:`~repro.multicore.engine.SharedFabric`, one
 :class:`~repro.multicore.engine.CoreHierarchy` + cold prefetcher per
-core, attaches the same observation probes the single-core path uses
-(heartbeat/fault hooks on core 0, metrics and the sanitizer per core,
-plus the shared-L2 ownership check), interleaves the cores with
-:func:`~repro.multicore.engine.run_cores`, and assembles a
+core, and the probes :func:`repro.sim.runner.build_probes` builds for
+the single-core path (the heartbeat/fault hooks on core 0 only,
+metrics and the sanitizer per core), plus the shared-L2 ownership
+check on core 0.  It then interleaves the cores' steppers with
+:func:`~repro.multicore.engine.run_cores` and assembles a
 :class:`~repro.multicore.results.MixResult`.
 
-Mix runs always execute on the reference (pure-Python) core engine —
-the native C loop is single-stream by design — and the
-result records that via ``backend_fallback="multicore"`` through the
-existing provenance path.
+Every core steps :meth:`repro.cpu.core.OutOfOrderCore.steps`, the
+loop the python backend runs; the native C loop is single-stream by
+design.  The result records that via ``backend_fallback="multicore"``
+through the existing provenance path.
 """
 
 from __future__ import annotations
 
 from typing import Any, List
 
-from repro.engine.probes import MetricsProbe, Probe, ProgressProbe, SanitizerProbe
-from repro.obs import metrics as obs_metrics
-from repro.sim import resilience, sanitizer as sanitizer_mod
+from repro.cpu.core import OutOfOrderCore
+from repro.engine.probes import Probe
+from repro.sim import sanitizer as sanitizer_mod
 from repro.sim.config import SimulationConfig
-from repro.sim.runner import WARMUP_FRACTION
+from repro.sim.runner import WARMUP_FRACTION, build_probes
 from repro.multicore.engine import (
     CoreHierarchy,
-    CoreRunner,
     SharedFabric,
     offset_trace,
     run_cores,
@@ -37,16 +37,18 @@ from repro.workloads import generate
 __all__ = ["execute_mix"]
 
 #: provenance marker recorded on every mix result: the run executed on
-#: the reference core engine's multicore front end.
+#: the python core loop, one stepper per core.
 MULTICORE_FALLBACK = "multicore"
 
 
 class SharedL2Probe(Probe):
     """Periodic shared-L2 ownership/occupancy invariant check.
 
-    Attached (once, to core 0) alongside the per-core sanitizers: at
-    each mark it runs the sampled shared-L2 scan, and at finalize the
-    complete owner-map bijection check.  Read-only, like every probe.
+    Attached once, to core 0, after its sanitizer probe.  It holds a
+    sanitizer instance of its own; the shared-L2 scan touches only its
+    own scan cursor there.  At each mark it runs the sampled shared-L2
+    scan, and at finalize the complete owner-map bijection check.
+    Read-only, like every probe.
     """
 
     def __init__(self, sanitizer: Any, fabric: SharedFabric) -> None:
@@ -63,7 +65,7 @@ class SharedL2Probe(Probe):
         self.sanitizer.check_shared_l2(self.fabric, sample=None)
 
 
-def _share_pht(prefetchers: List[Any], names: Any) -> None:
+def _share_pht(prefetchers: List[Any]) -> None:
     """Point every core's prefetcher at core 0's PHT."""
     shared = getattr(prefetchers[0], "pht", None)
     if shared is None:
@@ -94,13 +96,12 @@ def execute_mix(
         )
     names = config.mix
     fabric = SharedFabric(config.hierarchy, len(names))
-    corruption = sanitizer_mod.consume_scheduled_corruption()
-    registry = obs_metrics.active_registry()
 
-    runners: List[CoreRunner] = []
+    steppers: List[Any] = []
     hierarchies: List[CoreHierarchy] = []
     prefetchers: List[Any] = []
     probe_lists: List[List[Probe]] = []
+    core = OutOfOrderCore(config.core)
     for core_id, name in enumerate(names):
         trace = offset_trace(generate(name, accesses), core_id)
         hierarchy = CoreHierarchy(config.hierarchy, fabric, core_id)
@@ -108,47 +109,25 @@ def execute_mix(
         hierarchy.attach_prefetcher(prefetcher)
         warmup = int(len(trace) * warmup_fraction)
 
-        probes: List[Probe] = []
-        if core_id == 0 and (
-            resilience.heartbeat_active()
-            or corruption is not None
-            or resilience.shutdown_watch_active()
-        ):
-            # Same contract as the single-core runner: heartbeats and
-            # fault injection ride core 0's marks (all cores walk
-            # equal-length traces, so core 0's progress is the mix's).
-            pending = [corruption]
-
-            def progress(done: int, total: int, sim_time: float) -> None:
-                if pending[0] is not None and done > warmup:
-                    kind, pending[0] = pending[0], None
-                    sanitizer_mod.corrupt_state(hierarchy, prefetcher, kind)
-                if resilience.shutdown_requested():
-                    raise resilience.CampaignInterrupted(
-                        "graceful shutdown requested mid-simulation"
-                    )
-                resilience.emit_heartbeat(done, total, sim_time)
-
-            probes.append(ProgressProbe(progress))
-        if registry is not None:
-            probes.append(MetricsProbe(registry))
-        sanitizer = sanitizer_mod.build_sanitizer(config.sanitize)
-        if sanitizer is not None:
-            probes.append(SanitizerProbe(sanitizer))
-            if core_id == 0:
+        # Heartbeats and fault injection ride core 0's marks: all cores
+        # walk equal-length traces, so core 0's progress is the mix's.
+        probes = build_probes(
+            config, hierarchy, prefetcher, warmup, lead=core_id == 0
+        )
+        if core_id == 0:
+            sanitizer = sanitizer_mod.build_sanitizer(config.sanitize)
+            if sanitizer is not None:
                 probes.append(SharedL2Probe(sanitizer, fabric))
 
-        runners.append(
-            CoreRunner(core_id, trace, hierarchy, config.core, warmup, probes)
-        )
+        steppers.append(core.steps(trace, hierarchy, warmup, probes))
         hierarchies.append(hierarchy)
         prefetchers.append(prefetcher)
         probe_lists.append(probes)
 
     if config.shared_pht:
-        _share_pht(prefetchers, names)
+        _share_pht(prefetchers)
 
-    core_results = run_cores(runners)
+    core_results = run_cores(names, steppers)
     fabric.finalize()
     for hierarchy, probes in zip(hierarchies, probe_lists):
         for probe in probes:

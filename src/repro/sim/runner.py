@@ -20,19 +20,20 @@ import os
 import time
 import warnings
 from contextlib import ExitStack
-from typing import Dict, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.backend import resolve_backend
-from repro.engine.probes import MetricsProbe, ProgressProbe, SanitizerProbe
+from repro.engine.probes import MetricsProbe, Probe, ProgressProbe, SanitizerProbe
 from repro.memory import MemoryHierarchy
 from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
+from repro.prefetchers import Prefetcher
 from repro.sim import resilience, sanitizer as sanitizer_mod
 from repro.sim.config import SimulationConfig
 from repro.sim.results import SimResult, SuiteResult
 from repro.workloads import BENCHMARK_ORDER, Scale, Trace, generate
 
-__all__ = ["clear_cache", "simulate", "simulate_suite"]
+__all__ = ["build_probes", "clear_cache", "simulate", "simulate_suite"]
 
 _RESULT_CACHE: Dict[Tuple[str, int, SimulationConfig], SimResult] = {}
 
@@ -70,27 +71,26 @@ def _warn_store_degraded(store) -> None:
     )
 
 
-def _execute(
-    trace: Trace, config: SimulationConfig, warmup_fraction: float
-) -> SimResult:
-    """Run one cold machine over one trace (the uncached core of
-    :func:`simulate`; tests monkeypatch this to count real runs)."""
-    hierarchy = MemoryHierarchy(config.hierarchy)
-    prefetcher = config.build_prefetcher()
-    hierarchy.attach_prefetcher(prefetcher)
-    # Backend selection: config field -> REPRO_BACKEND -> "python".
-    # All backends are bit-identical by contract, so the choice never
-    # appears in result fingerprints (see SimulationConfig.backend).
-    backend = resolve_backend(config.backend)
-    warmup = int(len(trace) * warmup_fraction)
+def build_probes(
+    config: SimulationConfig,
+    hierarchy: MemoryHierarchy,
+    prefetcher: Prefetcher,
+    warmup: int,
+    lead: bool = True,
+) -> List[Probe]:
+    """The observation probes of one simulated core, in firing order.
 
-    # Observation attaches as engine probes: the heartbeat/fault hook
-    # first (so a scheduled corruption lands before checks at the same
-    # mark), the sanitizer last.
-    probes = []
-    sanitizer = sanitizer_mod.build_sanitizer(config.sanitize)
-    corruption = sanitizer_mod.consume_scheduled_corruption()
-    if (
+    Order is a contract, "progress before checks": the heartbeat /
+    fault-injection / shutdown :class:`ProgressProbe` first, so a
+    scheduled corruption lands before the checks at the same mark; the
+    :class:`MetricsProbe` next; the :class:`SanitizerProbe` last.
+    Only the ``lead`` core gets the progress probe and consumes the
+    scheduled corruption — a mix passes ``lead=False`` for every core
+    after core 0, whose progress stands for the whole mix.
+    """
+    probes: List[Probe] = []
+    corruption = sanitizer_mod.consume_scheduled_corruption() if lead else None
+    if lead and (
         resilience.heartbeat_active()
         or corruption is not None
         or resilience.shutdown_watch_active()
@@ -123,9 +123,27 @@ def _execute(
         # enabled-vs-disabled differential test enforces bit-identical
         # results.
         probes.append(MetricsProbe(registry))
+    sanitizer = sanitizer_mod.build_sanitizer(config.sanitize)
     if sanitizer is not None:
         probes.append(SanitizerProbe(sanitizer))
+    return probes
 
+
+def _execute(
+    trace: Trace, config: SimulationConfig, warmup_fraction: float
+) -> SimResult:
+    """Run one cold machine over one trace (the uncached core of
+    :func:`simulate`; tests monkeypatch this to count real runs)."""
+    hierarchy = MemoryHierarchy(config.hierarchy)
+    prefetcher = config.build_prefetcher()
+    hierarchy.attach_prefetcher(prefetcher)
+    # Backend selection: config field -> REPRO_BACKEND -> "python".
+    # All backends are bit-identical by contract, so the choice never
+    # appears in result fingerprints (see SimulationConfig.backend).
+    backend = resolve_backend(config.backend)
+    warmup = int(len(trace) * warmup_fraction)
+
+    probes = build_probes(config, hierarchy, prefetcher, warmup)
     core_result = backend.run(
         trace, hierarchy, config.core, warmup=warmup, probes=probes
     )

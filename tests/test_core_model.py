@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.cpu import CoreParams, OutOfOrderCore
+from repro.cpu import CoreParams, CoreResult, OutOfOrderCore
+from repro.engine.probes import ProgressProbe
 from repro.memory import HierarchyParams, MemoryHierarchy
 from repro.workloads.trace import Trace
 
@@ -123,6 +124,56 @@ class TestMemoryBehaviour:
         first = run(make_trace(addrs), hierarchy(ideal=False))
         second = run(make_trace(addrs), hierarchy(ideal=False))
         assert first.cycles == second.cycles
+
+
+def drain(stepper):
+    """Every clock a stepper yields, and the result it returns."""
+    clocks = []
+    while True:
+        try:
+            clocks.append(next(stepper))
+        except StopIteration as done:
+            return clocks, done.value
+
+
+class TestStepper:
+    def trace(self):
+        addrs = (np.arange(3000, dtype=np.uint64) * 7919 % 4096) * 64
+        deps = np.where(np.arange(3000) % 5 == 4, 3, 0)
+        return make_trace(addrs, deps=deps, gaps=np.arange(3000) % 9)
+
+    def test_yields_one_nondecreasing_clock_per_access(self):
+        trace = self.trace()
+        clocks, _ = drain(OutOfOrderCore().steps(trace, hierarchy(ideal=False)))
+        assert len(clocks) == len(trace)
+        assert all(a <= b for a, b in zip(clocks, clocks[1:]))
+
+    def test_returns_what_run_returns(self):
+        trace = self.trace()
+        marks = {"run": [], "steps": []}
+
+        def probe(key):
+            return ProgressProbe(
+                lambda done, total, t: marks[key].append((done, t)), interval=64
+            )
+
+        core = OutOfOrderCore()
+        ran = core.run(
+            trace, hierarchy(ideal=False), warmup=700, probes=[probe("run")]
+        )
+        _, stepped = drain(
+            core.steps(
+                trace, hierarchy(ideal=False), warmup=700, probes=[probe("steps")]
+            )
+        )
+        assert stepped == ran
+        assert marks["steps"] == marks["run"]
+        assert len(marks["run"]) == len(trace) // 64
+
+    def test_empty_trace_yields_nothing(self):
+        clocks, result = drain(OutOfOrderCore().steps(make_trace([]), hierarchy()))
+        assert clocks == []
+        assert result == CoreResult(0, 0.0, 0)
 
 
 class TestCoreResult:

@@ -75,8 +75,11 @@ class TestWarmupEdges:
         assert a.cycles == b.cycles
 
     def test_negative_warmup_rejected(self):
-        with pytest.raises(ValueError):
-            OutOfOrderCore().run(trace_of([0x100]), hierarchy(), warmup=-1)
+        core = OutOfOrderCore()
+        # steps() must refuse at the call, before the first next().
+        for enter in (core.run, core.steps):
+            with pytest.raises(ValueError):
+                enter(trace_of([0x100]), hierarchy(), warmup=-1)
 
 
 class TestLongDependences:

@@ -35,6 +35,7 @@ from repro.sim import store as store_mod
 from repro.sim.config import PREFETCHERS
 from repro.sim.results import SimResult
 from repro.sim.runner import clear_cache
+from repro.sim.sanitizer import schedule_state_corruption
 from repro.sim.store import ResultStore, config_fingerprint
 from repro.workloads import BENCHMARK_ORDER, Scale, Trace, generate
 
@@ -155,6 +156,22 @@ class TestDeterminismAndPermutation:
         assert result.shared_pht
         private = mix_config(("gzip", "swim"), prefetcher="tcp-8k")
         assert config_fingerprint(config) != config_fingerprint(private)
+
+
+class TestMixProbes:
+    def test_injected_corruption_lands_on_core_0(self):
+        """Heartbeat and fault-injection hooks ride core 0's marks, so a
+        scheduled stats drift must hit core 0's counters and leave
+        core 1's untouched."""
+        config = mix_config(("gzip", "swim"), sanitize="off")
+        clean = simulate("gzip+swim", config, TINY, use_cache=False)
+        schedule_state_corruption("stats-drift")
+        drifted = simulate("gzip+swim", config, TINY, use_cache=False)
+        hits = [
+            (d.memory.l1_hits - c.memory.l1_hits)
+            for c, d in zip(clean.per_core, drifted.per_core)
+        ]
+        assert hits == [1, 0]
 
 
 class TestMixProperties:
