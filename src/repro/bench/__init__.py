@@ -17,23 +17,18 @@ exist as a result.  This package provides it:
     The benchmark proper: times the engine loop and the legacy driver
     over the Figure 11 workload mix for a set of prefetchers and emits
     ``BENCH_hotpath.json``.
-:mod:`repro.bench.campaign`
-    The campaign-layer benchmark: runs the fig11 cell mix through
-    ``prewarm`` twice — the seed per-attempt pathway vs the warm
-    worker pool with the mmap-backed trace cache — enforces per-cell
-    result equality, and emits ``BENCH_campaign.json``.
 :mod:`repro.bench.backend`
     The backend-layer benchmark: pits the compiled ``native`` backend
     against the ``python`` reference per (workload, prefetcher) cell,
     enforces bit-identical results, and emits ``BENCH_backend.json``.
 
-Run them with ``repro-tcp bench`` / ``repro-tcp bench --campaign`` /
-``repro-tcp bench --backend native`` (see ``docs/usage.md``) or
-``python -m repro.bench``.
+Run them with ``repro-tcp bench`` / ``repro-tcp bench --backend
+native`` (see ``docs/usage.md``) or ``python -m repro.bench``.  The
+campaign layer is timed end to end by the ledger (``python3 -m
+ledger``: the ``fig11`` and ``campaign-tiny`` workloads).
 """
 
 from repro.bench.backend import run_backend_bench
-from repro.bench.campaign import run_campaign_bench
 from repro.bench.hotpath import run_hotpath_bench
 
-__all__ = ["run_backend_bench", "run_campaign_bench", "run_hotpath_bench"]
+__all__ = ["run_backend_bench", "run_hotpath_bench"]

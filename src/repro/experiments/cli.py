@@ -39,7 +39,6 @@ from repro.experiments.registry import EXPERIMENTS, run_experiment
 from repro.obs import metrics as obs_metrics
 from repro.sim import (
     PREFETCHERS,
-    WORKER_MODES,
     SimulationConfig,
     SimulationError,
     simulate,
@@ -115,11 +114,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           "(default mix2)")
     run.add_argument("--jobs", type=int, default=1,
                      help="parallel workers to pre-warm simulations (0 = cpus)")
-    run.add_argument("--worker-mode", choices=WORKER_MODES, default=None,
-                     help="campaign worker strategy: 'pool' keeps warm "
-                          "workers draining the job queue, 'attempt' spawns "
-                          "one process per attempt (default: "
-                          "$REPRO_WORKER_MODE or pool)")
     run.add_argument("--resume", action="store_true",
                      help="checkpoint results to the on-disk store and "
                           "re-run only the missing (workload, config) pairs")
@@ -191,15 +185,10 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate_cmd.set_defaults(func=_cmd_simulate)
 
     bench = sub.add_parser(
-        "bench", help="measure hot-path or campaign-layer throughput"
+        "bench", help="measure hot-path or backend throughput"
     )
-    bench.add_argument("--campaign", action="store_true",
-                       help="benchmark the campaign layer (warm pool + trace "
-                            "cache vs the per-attempt path) instead of the "
-                            "per-access hot path")
-    bench.add_argument("--scale", type=_parse_scale, default=None,
-                       help="trace length per run (default standard; "
-                            "quick with --campaign)")
+    bench.add_argument("--scale", type=_parse_scale, default=Scale.STANDARD,
+                       help="trace length per run (default standard)")
     bench.add_argument("--repeats", type=int, default=3, metavar="N",
                        help="timed runs per cell; fastest wins (default 3)")
     bench.add_argument("--workloads", nargs="*", default=None,
@@ -214,15 +203,12 @@ def _build_parser() -> argparse.ArgumentParser:
     # "invalid choice" names the flag, not the registry).  _cmd_bench
     # validates explicitly and lists what is actually registered.
     bench.add_argument("--backend", default=None, metavar="NAME",
-                       help="without --campaign: pit this backend against the "
-                            "python reference per (workload, prefetcher) cell "
-                            "and write BENCH_backend.json; with --campaign: "
-                            "run the campaign bench under this backend")
-    bench.add_argument("--jobs", type=int, default=0, metavar="N",
-                       help="campaign worker count (0 = each mode's default)")
+                       help="pit this backend against the python reference "
+                            "per (workload, prefetcher) cell and write "
+                            "BENCH_backend.json")
     bench.add_argument("--output", default=None, metavar="PATH",
                        help="result file (default BENCH_hotpath.json, or "
-                            "BENCH_campaign.json with --campaign; "
+                            "BENCH_backend.json with --backend; "
                             "'-' skips writing)")
     bench.set_defaults(func=_cmd_bench)
 
@@ -558,7 +544,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 timeout=args.timeout,
                 stall_timeout=args.stall_timeout,
                 progress=_campaign_progress,
-                worker_mode=args.worker_mode,
                 hosts=hosts,
                 max_failures=args.max_failures,
                 **campaign,
@@ -744,9 +729,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.campaign:
-        _apply_backend(args.backend)
-        return _cmd_bench_campaign(args)
     if args.backend is not None:
         return _cmd_bench_backend(args)
     from repro.bench import run_hotpath_bench
@@ -757,7 +739,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     document = run_hotpath_bench(
         workloads=args.workloads or DEFAULT_WORKLOADS,
         prefetchers=args.prefetchers or DEFAULT_PREFETCHERS,
-        scale=args.scale if args.scale is not None else Scale.STANDARD,
+        scale=args.scale,
         repeats=args.repeats,
         output=output,
         log=sys.stdout,
@@ -782,7 +764,7 @@ def _cmd_bench_backend(args: argparse.Namespace) -> int:
     if args.backend == "python":
         print(
             "error: the python backend is the bench's reference arm; "
-            "pick a contender (native) or use --campaign",
+            "pick a contender (native)",
             file=sys.stderr,
         )
         return 2
@@ -792,7 +774,7 @@ def _cmd_bench_backend(args: argparse.Namespace) -> int:
     document = run_backend_bench(
         workloads=args.workloads or DEFAULT_WORKLOADS,
         prefetchers=args.prefetchers or DEFAULT_PREFETCHERS,
-        scale=args.scale if args.scale is not None else Scale.STANDARD,
+        scale=args.scale,
         repeats=args.repeats,
         contenders=(args.backend,),
         output=output,
@@ -802,31 +784,6 @@ def _cmd_bench_backend(args: argparse.Namespace) -> int:
         f"geomean speedup of the {args.backend} backend over the python "
         f"reference: {document['geomean_speedup']:.2f}x "
         f"(min {document['min_speedup']:.2f}x, results bit-identical)"
-    )
-    if output is not None:
-        print(f"wrote {output}")
-    return 0
-
-
-def _cmd_bench_campaign(args: argparse.Namespace) -> int:
-    from repro.bench import run_campaign_bench
-    from repro.bench.campaign import DEFAULT_WORKLOADS
-
-    output = args.output if args.output is not None else "BENCH_campaign.json"
-    output = None if output == "-" else output
-    document = run_campaign_bench(
-        workloads=args.workloads or DEFAULT_WORKLOADS,
-        scale=args.scale if args.scale is not None else Scale.QUICK,
-        repeats=args.repeats,
-        jobs=args.jobs,
-        output=output,
-        log=sys.stdout,
-    )
-    print(
-        f"warm pool + trace cache vs per-attempt over "
-        f"{document['cells']} cells: {document['speedup']:.2f}x "
-        f"({document['attempt_seconds']:.2f}s -> "
-        f"{document['pool_seconds']:.2f}s, results identical)"
     )
     if output is not None:
         print(f"wrote {output}")

@@ -22,7 +22,6 @@ surviving lost, partitioned, or slow ones.
 from repro.sim.config import PREFETCHERS, SimulationConfig, prefetcher_factory
 from repro.sim.parallel import experiment_configs, prewarm
 from repro.sim.resilience import (
-    WORKER_MODES,
     CampaignInterrupted,
     CampaignReport,
     CorruptResult,
@@ -37,7 +36,6 @@ from repro.sim.resilience import (
     StallTimeout,
     StoreDegraded,
     WorkerCrash,
-    resolve_worker_mode,
 )
 from repro.sim.results import SimResult, SuiteResult, validate_result
 from repro.sim.runner import simulate, simulate_suite
@@ -89,7 +87,6 @@ __all__ = [
     "StoreDegraded",
     "SuiteResult",
     "Sweep",
-    "WORKER_MODES",
     "WorkerCrash",
     "active_store",
     "build_sanitizer",
@@ -100,7 +97,6 @@ __all__ = [
     "prefetcher_factory",
     "prewarm",
     "resolve_mix",
-    "resolve_worker_mode",
     "sanitize_level",
     "set_active_store",
     "simulate",

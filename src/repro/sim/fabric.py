@@ -89,6 +89,8 @@ from repro.sim.resilience import (
     JobTimeout,
     RetryPolicy,
     SimulationError,
+    _Item,
+    _pop_ready,
     is_retryable,
     maybe_inject_host_fault,
     set_heartbeat_sink,
@@ -474,9 +476,6 @@ def run_agent(host_id: str, store_dir: Optional[str]) -> int:
 # The coordinator
 # ---------------------------------------------------------------------------
 
-#: queue item: (job, key, attempt, earliest start time).
-_Item = Tuple[Any, str, int, float]
-
 
 @dataclass
 class _FleetHost:
@@ -492,7 +491,7 @@ class _FleetHost:
     #: injected partition: the wire eats everything this host says.
     muted: bool = False
     dispatches: int = 0
-    #: forwarded span begins not yet matched by an end (see _run_pool).
+    #: forwarded span begins not yet matched by an end (see _PoolWorker).
     open_spans: Dict[str, Dict[str, Any]] = field(default_factory=dict)
 
     @property
@@ -623,12 +622,6 @@ def run_fleet(
             return True
         except (BrokenPipeError, OSError, ValueError):
             return False
-
-    def _pop_ready(items: List[_Item], now: float) -> Optional[_Item]:
-        for i, item in enumerate(items):
-            if item[3] <= now:
-                return items.pop(i)
-        return None
 
     def _take_next(host: _FleetHost) -> Optional[_Item]:
         now = time.monotonic()

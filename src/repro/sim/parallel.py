@@ -21,12 +21,11 @@ nothing large crosses process boundaries except the finished
 in the cache or the store are skipped, which is what makes a
 killed-then-restarted campaign resume instead of starting over.
 
-By default campaigns run in the warm-pool worker mode with
-workload-affinity scheduling: pending jobs are grouped by benchmark,
-groups are ordered longest-expected-first, and a pool worker runs all
-configs of one benchmark against a single trace before moving on.
-``worker_mode="attempt"`` (or ``REPRO_WORKER_MODE=attempt``) restores
-the one-process-per-attempt behavior.
+With more than one worker, campaigns run on the supervisor's warm
+pool with workload-affinity scheduling: pending jobs are grouped by
+benchmark, groups are ordered longest-expected-first, and a pool
+worker runs all configs of one benchmark against a single trace before
+moving on.  ``jobs=1`` runs them serially in this process.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ from repro.sim.resilience import (
     CampaignReport,
     RetryPolicy,
     graceful_shutdown,
-    resolve_worker_mode,
     run_supervised,
     shutdown_requested,
 )
@@ -144,7 +142,6 @@ def prewarm(
     timeout: Optional[float] = None,
     stall_timeout: Optional[float] = None,
     progress: Optional[Callable[[int, int, str, str], None]] = None,
-    worker_mode: Optional[str] = None,
     trace_cache: Union[None, bool, str] = None,
     hosts: Union[None, str, Sequence] = None,
     max_failures: Optional[int] = None,
@@ -152,25 +149,23 @@ def prewarm(
     """Fill the result cache for ``configs`` x ``benchmarks`` in parallel.
 
     ``scale`` is a :class:`~repro.workloads.Scale` preset or a raw
-    positive access count.  ``jobs``: worker processes (0 = cpu count;
+    positive access count.  ``jobs``: pool workers (0 = cpu count;
     1 = in-process, which keeps the function usable where
     multiprocessing is unavailable).  Each job gets up to ``retries``
     extra attempts and, with ``timeout``, a per-attempt wall-clock
     budget in seconds.  ``stall_timeout`` arms the heartbeat watchdog
     instead: an attempt is killed only when it emits no progress
     heartbeat for that many seconds, so a slow-but-progressing job is
-    never lost to a wall-clock guess.
+    never lost to a wall-clock guess.  Both limits need a worker
+    process to kill, so ``jobs=1`` enforces neither.
 
-    ``worker_mode`` selects ``"pool"`` (the default: warm long-lived
-    workers with workload-affinity scheduling) or ``"attempt"`` (one
-    process per attempt); ``REPRO_WORKER_MODE`` overrides the default
-    when the argument is omitted.  ``trace_cache`` controls the on-disk
-    trace cache: ``None`` honours ``REPRO_TRACE_CACHE`` and defaults to
-    a directory next to the result store, ``False`` disables it, a path
-    uses that directory.  When enabled, the parent writes each pending
-    benchmark's trace once before workers start, so fork-mode children
-    share the generated pages and spawn-mode children mmap the same
-    archive instead of regenerating.
+    ``trace_cache`` controls the on-disk trace cache: ``None`` honours
+    ``REPRO_TRACE_CACHE`` and defaults to a directory next to the
+    result store, ``False`` disables it, a path uses that directory.
+    When enabled, the parent writes each pending benchmark's trace once
+    before workers start, so fork-mode children share the generated
+    pages and spawn-mode children mmap the same archive instead of
+    regenerating.
 
     Returns a :class:`~repro.sim.resilience.CampaignReport`:
     ``report.executed`` counts *successful* simulations, failed jobs
@@ -271,7 +266,6 @@ def prewarm(
         stall_timeout=stall_timeout,
         max_failures=max_failures,
     )
-    mode = resolve_worker_mode(worker_mode, default="pool")
     cache_root = trace_io.resolve_trace_cache(trace_cache)
 
     # Campaign observability (REPRO_OBS): one registry aggregates the
@@ -342,9 +336,7 @@ def prewarm(
             # the multiprocessing path gets from forwarded events.
             stack.enter_context(obs_spans.use_span_sink(span_cb))
             root = stack.enter_context(
-                obs_spans.span(
-                    "campaign", jobs=len(pending), scale=accesses, mode=mode
-                )
+                obs_spans.span("campaign", jobs=len(pending), scale=accesses)
             )
             campaign_root[0] = root.span_id
         stack.enter_context(trace_io.trace_cache_scope(cache_root))
@@ -381,8 +373,7 @@ def prewarm(
                 progress=local_progress,
                 heartbeat=heartbeat,
                 child_setup=_silence_worker_store,
-                in_process=True if jobs == 1 or len(batch) == 1 else None,
-                mode=mode,
+                in_process=True if jobs == 1 else None,
                 group=lambda job: job[0],
                 span=span_cb,
             )

@@ -10,18 +10,16 @@ This module provides the campaign resilience primitives:
 * a structured error taxonomy (:class:`SimulationError`,
   :class:`WorkerCrash`, :class:`JobTimeout`, :class:`CorruptResult`)
   so every failure is classified, never a bare traceback;
-* :func:`run_supervised` — a supervisor with two worker modes.
-  ``attempt`` mode runs each job *attempt* in its own short-lived
-  process (crash isolation: a dead worker loses exactly one attempt),
-  enforces per-job timeouts, and retries with deterministic
-  exponential backoff + jitter.  ``pool`` mode keeps a *warm pool* of
+* :func:`run_supervised` — a supervisor over a *warm pool* of
   long-lived workers draining a job queue: interpreter spawn, imports,
   and each worker's in-process trace cache are amortised across jobs,
   and jobs sharing an affinity ``group`` (e.g. one benchmark's trace)
-  stay on the same worker.  Crash isolation is preserved — a dead pool
-  worker is recycled and only its in-flight job is charged an attempt
-  — and retries of pooled failures fall back to the per-attempt mode.
-  The mode is selected per call or via ``REPRO_WORKER_MODE``;
+  stay on the same worker.  A dead worker is recycled and only its
+  in-flight job is charged an attempt; per-job timeouts and a
+  heartbeat stall watchdog kill stuck attempts, and failed attempts
+  go back into the queue with deterministic exponential backoff +
+  jitter.  Where no start method exists (or ``in_process=True``) the
+  jobs run serially in this process instead;
 * :class:`CampaignReport` — successes and failures counted separately,
   with a human-readable failure summary;
 * a deterministic fault-injection hook (``REPRO_FAULT_RATE`` /
@@ -76,8 +74,6 @@ __all__ = [
     "SimulationError",
     "StallTimeout",
     "StoreDegraded",
-    "WORKER_MODES",
-    "WORKER_MODE_ENV",
     "WorkerCrash",
     "default_workers",
     "emit_heartbeat",
@@ -88,7 +84,6 @@ __all__ = [
     "maybe_inject_host_fault",
     "maybe_inject_io_fault",
     "request_shutdown",
-    "resolve_worker_mode",
     "run_supervised",
     "set_fault_injector",
     "set_heartbeat_sink",
@@ -627,35 +622,6 @@ def supervision_context() -> Optional[multiprocessing.context.BaseContext]:
     return None
 
 
-WORKER_MODE_ENV = "REPRO_WORKER_MODE"
-
-#: supported worker dispatch modes.  ``pool`` keeps long-lived workers
-#: draining a job queue (startup amortised, affinity-aware); ``attempt``
-#: spawns one short-lived process per attempt (the PR 1 behavior, and
-#: the retry fallback for pooled failures).
-WORKER_MODES = ("pool", "attempt")
-
-
-def resolve_worker_mode(mode: Optional[str] = None, default: str = "attempt") -> str:
-    """Resolve an explicit mode, ``REPRO_WORKER_MODE``, or the default.
-
-    An explicit ``mode`` wins and must be valid; an unrecognised
-    environment value is ignored (campaigns should never die over a
-    typo'd knob) and the caller's ``default`` applies.
-    """
-    if mode:
-        normalized = mode.strip().lower()
-        if normalized not in WORKER_MODES:
-            raise ValueError(
-                f"unknown worker mode {mode!r}; expected one of {WORKER_MODES}"
-            )
-        return normalized
-    env = os.environ.get(WORKER_MODE_ENV, "").strip().lower()
-    if env in WORKER_MODES:
-        return env
-    return default
-
-
 def default_workers(jobs: int = 0) -> int:
     """Resolve a ``--jobs`` value to a worker count (0 = CPU count).
 
@@ -744,7 +710,7 @@ class CampaignReport:
     skipped: int = 0
     #: attempts beyond each job's first (i.e. how much retrying it took).
     retried: int = 0
-    #: replacement workers spawned after a pool worker died (pool mode).
+    #: replacement workers spawned after a pool worker died.
     recycled: int = 0
     #: merged span-trace file written for this campaign (``REPRO_OBS``
     #: tracing on), else None.
@@ -869,81 +835,6 @@ class CampaignReport:
 # ---------------------------------------------------------------------------
 
 
-def _attempt_entry(
-    conn: multiprocessing.connection.Connection,
-    run_one: Callable[[Any], Any],
-    job: Any,
-    job_key: str,
-    attempt: int,
-    child_setup: Optional[Callable[[], None]],
-    forward_spans: bool = False,
-) -> None:
-    """Worker body for one attempt: run the job, report over the pipe.
-
-    Every outcome is reported as a tagged tuple; a worker that dies
-    before sending anything is classified as a crash by the parent.
-
-    The ``attempt`` span opens *before* the fault-injection point on
-    purpose: a ``crash``/``timeout``/``stall`` fault then dies with the
-    span open, exercising the supervisor's synthesized-abort path the
-    same way a real mid-job death would.
-    """
-    try:
-        if child_setup is not None:
-            child_setup()
-        _reset_child_obs(conn if forward_spans else None)
-        with obs_profile.maybe_profile(f"{job_key}-attempt{attempt}"):
-            with obs_spans.span("attempt", key=job_key, attempt=attempt):
-                fault = maybe_inject_fault(job_key, attempt)
-                if fault == "crash":
-                    os._exit(13)
-                if fault == "timeout":
-                    time.sleep(3600.0)
-                if fault == "stall":
-                    # Prove liveness once, then go silent: only the stall
-                    # watchdog (not a wall-clock budget) can reclaim this job.
-                    conn.send(("hb", 0, 0, 0.0))
-                    time.sleep(3600.0)
-                if fault == "error":
-                    raise SimulationError(
-                        f"injected fault ({job_key}, attempt {attempt})"
-                    )
-                if fault == "state-corrupt":
-                    from repro.sim import sanitizer as _sanitizer
-
-                    _sanitizer.schedule_state_corruption()
-                set_heartbeat_sink(_pipe_heartbeat_sink(conn))
-                result = run_one(job)
-                if fault == "corrupt":
-                    result = _corrupted(result)
-        conn.send(("ok", result))
-    except SimulationError as exc:
-        conn.send(("err", type(exc).__name__, str(exc)))
-    except BaseException as exc:  # classify unexpected worker bugs too
-        conn.send(("err", "SimulationError", f"{type(exc).__name__}: {exc}"))
-    finally:
-        set_heartbeat_sink(None)
-        conn.close()
-
-
-@dataclass
-class _Attempt:
-    process: multiprocessing.process.BaseProcess
-    conn: multiprocessing.connection.Connection
-    job: Any
-    key: str
-    attempt: int
-    deadline: Optional[float]
-    #: wall-clock time of the last heartbeat (or of the spawn).
-    last_beat: float = 0.0
-    #: latest reported progress: (accesses done, total, sim time).
-    progress: Optional[Tuple[int, int, float]] = None
-    #: forwarded span begins not yet matched by an end, by span id —
-    #: the supervisor synthesizes ``aborted`` ends for these if the
-    #: worker dies or is killed mid-span.
-    open_spans: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-
-
 def _run_in_process(
     jobs: Sequence[Any],
     run_one: Callable[[Any], Any],
@@ -952,22 +843,16 @@ def _run_in_process(
     validate: Optional[Callable[[Any], None]],
     progress: Optional[Callable[[int, int, str, str], None]],
     heartbeat: Optional[Callable[[str, int, int, float], None]] = None,
-    attempt_offset: int = 0,
 ) -> CampaignReport:
-    """Serial fallback where multiprocessing is unavailable.
+    """Serial path: no start method exists, or the caller asked for it.
 
     Crash/timeout/stall faults cannot take the process down here, so
     the injector's ``crash``/``timeout``/``stall`` kinds surface as
     their taxonomy exceptions instead; per-attempt wall-clock limits
     are not enforced.  Heartbeats are delivered synchronously.
-
-    ``attempt_offset`` shifts the absolute attempt numbers (the pool
-    fallback passes 1 so attempt hashes — fault injection, backoff
-    jitter — line up with "this job already burned attempt 1").
     """
     report = CampaignReport()
     total = len(jobs)
-    first = attempt_offset + 1
     for job in jobs:
         if shutdown_requested():
             report.interrupted = True
@@ -984,9 +869,9 @@ def _run_in_process(
         job_key = key(job)
         last: SimulationError = SimulationError("no attempts made")
         attempts_made = 0
-        for attempt in range(first, policy.retries + 2):
+        for attempt in range(1, policy.retries + 2):
             attempts_made = attempt
-            if attempt > first:
+            if attempt > 1:
                 report.retried += 1
                 time.sleep(policy.backoff(job_key, attempt))
             try:
@@ -1089,6 +974,19 @@ def _drain_pipe(
         return payload
 
 
+#: one pending attempt: (job, key, absolute attempt number, earliest
+#: monotonic start time).  A retry waits out its backoff in the queue.
+_Item = Tuple[Any, str, int, float]
+
+
+def _pop_ready(items: List[_Item], now: float) -> Optional[_Item]:
+    """Remove and return the first item whose backoff has passed."""
+    for i, item in enumerate(items):
+        if item[3] <= now:
+            return items.pop(i)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Warm worker pool
 # ---------------------------------------------------------------------------
@@ -1101,11 +999,11 @@ def _pool_worker_entry(
     child_setup: Optional[Callable[[], None]],
     forward_spans: bool = False,
 ) -> None:
-    """Worker body for pool mode: drain jobs until told to stop.
+    """Worker body: drain jobs until told to stop.
 
-    Per-job outcomes use exactly the same tagged-tuple protocol as
-    :func:`_attempt_entry`, so the parent classifies pooled and
-    per-attempt results with shared code.  The process-wide heartbeat
+    Every job's outcome is reported as a tagged tuple (``ok`` / ``err``)
+    over the result pipe; a worker that dies before sending one is
+    classified as a crash by the parent.  The process-wide heartbeat
     sink is installed once and reused across jobs — one of the costs
     the pool amortises.
 
@@ -1117,8 +1015,7 @@ def _pool_worker_entry(
     explicit collection runs between jobs.  A simulation allocates
     heavily but almost nothing survives it, so the inter-job collect is
     where the garbage actually dies; pausing the collector mid-job only
-    defers that work, it cannot leak across jobs.  Short-lived
-    per-attempt workers get the same effect for free from process exit.
+    defers that work, it cannot leak across jobs.
     """
     try:
         if child_setup is not None:
@@ -1137,9 +1034,10 @@ def _pool_worker_entry(
                 break  # ("stop",) or anything unexpected
             _, job, job_key, attempt = message
             try:
-                # Span opens before fault injection (see _attempt_entry):
-                # a crash/timeout/stall fault must die mid-span so the
-                # supervisor's synthesized-abort path is exercised.
+                # The span opens before fault injection on purpose: a
+                # crash/timeout/stall fault then dies mid-span, which
+                # exercises the supervisor's synthesized-abort path the
+                # same way a real mid-job death would.
                 with obs_profile.maybe_profile(f"{job_key}-attempt{attempt}"):
                     with obs_spans.span("attempt", key=job_key, attempt=attempt):
                         fault = maybe_inject_fault(job_key, attempt)
@@ -1148,6 +1046,9 @@ def _pool_worker_entry(
                         if fault == "timeout":
                             time.sleep(3600.0)
                         if fault == "stall":
+                            # Prove liveness once, then go silent: only the
+                            # stall watchdog (not a wall-clock budget) can
+                            # reclaim this job.
                             result_conn.send(("hb", 0, 0, 0.0))
                             time.sleep(3600.0)
                         if fault == "error":
@@ -1183,53 +1084,103 @@ class _PoolWorker:
     #: in-flight job as (job, key, attempt), or None when idle.
     current: Optional[Tuple[Any, str, int]] = None
     deadline: Optional[float] = None
+    #: wall-clock time of the last heartbeat (or of the dispatch).
     last_beat: float = 0.0
+    #: latest reported progress: (accesses done, total, sim time).
     progress: Optional[Tuple[int, int, float]] = None
-    jobs_done: int = 0
-    #: forwarded span begins not yet matched by an end (see _Attempt).
+    #: forwarded span begins not yet matched by an end, by span id —
+    #: the supervisor synthesizes ``aborted`` ends for these if the
+    #: worker dies or is killed mid-span.
     open_spans: Dict[str, Dict[str, Any]] = field(default_factory=dict)
 
 
-def _run_pool(
+def run_supervised(
     jobs: Sequence[Any],
     run_one: Callable[[Any], Any],
     *,
-    context: multiprocessing.context.BaseContext,
-    workers: int,
-    policy: RetryPolicy,
-    key: Callable[[Any], str],
-    group: Optional[Callable[[Any], str]],
-    validate: Optional[Callable[[Any], None]],
-    progress: Optional[Callable[[int, int, str, str], None]],
-    heartbeat: Optional[Callable[[str, int, int, float], None]],
-    child_setup: Optional[Callable[[], None]],
+    workers: int = 0,
+    policy: Optional[RetryPolicy] = None,
+    key: Optional[Callable[[Any], str]] = None,
+    validate: Optional[Callable[[Any], None]] = None,
+    progress: Optional[Callable[[int, int, str, str], None]] = None,
+    heartbeat: Optional[Callable[[str, int, int, float], None]] = None,
+    child_setup: Optional[Callable[[], None]] = None,
+    in_process: Optional[bool] = None,
+    group: Optional[Callable[[Any], str]] = None,
     span: Optional[Callable[[Dict[str, Any]], None]] = None,
 ) -> CampaignReport:
-    """Warm-pool dispatcher: long-lived workers drain the job queue.
+    """Run ``run_one`` over ``jobs`` under supervision; never raises.
 
+    A warm pool of ``workers`` long-lived processes drains the queue.
     Jobs are bucketed into affinity groups (``group(job)``, defaulting
     to the job key) in first-appearance order; a worker sticks to its
     group until it is empty, then claims the next untouched group, and
     at the tail helps whichever in-progress group has the most work
     left, so one straggler group never serialises the finish.
 
-    Crash isolation matches attempt mode: a dead worker charges only
-    its in-flight job one attempt and is recycled (a replacement spawns
-    while undispatched work remains).  Retryable pooled failures are
-    re-run through the per-attempt supervisor with ``attempt_offset=1``
-    so absolute attempt numbers — and with them fault-injection and
-    backoff hashes — stay identical to a pure per-attempt campaign.
+    A dead worker charges only its in-flight job one attempt and is
+    recycled (a replacement spawns while work remains).  A failed
+    attempt *k* goes back into its group as attempt *k + 1*, to start
+    no earlier than ``policy.backoff(key, k + 1)`` seconds later, up to
+    ``policy.retries`` times — except :class:`InvariantViolation`,
+    which is deterministic and fails the job immediately.  Attempt
+    numbers are absolute, so fault-injection and backoff hashes depend
+    only on ``(key, attempt)``.  Jobs that exhaust the budget land in
+    the report's ``failures``, the rest in ``completed`` (keyed by
+    ``key(job)``).
+
+    Workers stream progress heartbeats over the result pipe (published
+    by the simulation loop via :func:`emit_heartbeat`).  The watchdog
+    uses them two ways: ``policy.stall_timeout`` kills an attempt that
+    goes silent for that many seconds (a *stall* timeout — a slow but
+    heartbeating job is left alone), and ``heartbeat`` (if given) is
+    called in the parent as ``(key, done, total, sim_time)`` so
+    campaigns can checkpoint mid-run progress markers.  An overdue or
+    stalled worker gets SIGKILL: a forked worker inherits the parent's
+    :class:`graceful_shutdown` handler, so SIGTERM would only latch a
+    flag, and a killed attempt has nothing to flush.
+
+    ``validate`` (if given) runs in the parent on every returned
+    result; a validation error is classified :class:`CorruptResult`
+    and retried like any other failure.  ``child_setup`` runs first
+    inside every worker (campaigns use it to silence per-worker store
+    writes).  ``progress`` is called as ``(done, total, key, status)``
+    after each job settles.  ``in_process=True`` runs the jobs serially
+    in this process (:func:`_run_in_process`, which enforces neither
+    timeout); by default that happens only when no start method works,
+    and ``in_process=False`` raises there instead.
+
+    ``span`` (if given) receives every observability span event the
+    workers forward over their result pipes (:mod:`repro.obs.spans`
+    dicts, in arrival order) — campaigns pass a
+    :meth:`TraceCollector.add <repro.obs.spans.TraceCollector>` here to
+    merge all workers' spans into one trace.  If a worker dies or is
+    killed with spans open, the supervisor synthesizes ``aborted`` end
+    events for them so the merged trace never contains a dangling span.
+    In the in-process path jobs emit straight to the active span sink
+    instead and ``span`` is unused.
     """
+    policy = policy or RetryPolicy()
+    key = key or (lambda job: repr(job))
+    jobs = list(jobs)
+    if not jobs:
+        return CampaignReport()
+
+    context = None if in_process else supervision_context()
+    if context is None:
+        if in_process is False:
+            raise SimulationError("multiprocessing unavailable and in_process=False")
+        return _run_in_process(jobs, run_one, key, policy, validate, progress, heartbeat)
+
+    workers = min(default_workers(workers), len(jobs))
     report = CampaignReport()
     total = len(jobs)
     group_of = group or key
-    groups: Dict[str, List[Tuple[Any, str]]] = {}
+    groups: Dict[str, List[_Item]] = {}
     for job in jobs:
-        groups.setdefault(group_of(job), []).append((job, key(job)))
+        groups.setdefault(group_of(job), []).append((job, key(job), 1, 0.0))
     order = list(groups)
     claimed: set = set()
-    #: pooled first attempts that failed retryably, for the fallback.
-    fallback: List[Tuple[Any, str]] = []
     pool: List[_PoolWorker] = []
 
     def _spawn_worker() -> _PoolWorker:
@@ -1248,54 +1199,54 @@ def _run_pool(
         pool.append(worker)
         return worker
 
-    def _take_next(worker: _PoolWorker) -> Optional[Tuple[Any, str]]:
-        queue = groups.get(worker.group or "")
-        if not queue:
-            for name in order:  # claim the next untouched group
-                if name not in claimed and groups[name]:
-                    claimed.add(name)
-                    worker.group = name
-                    queue = groups[name]
-                    break
-            else:  # tail: help the in-progress group with the most left
-                name = max(
-                    (g for g in order if groups[g]),
-                    key=lambda g: len(groups[g]),
-                    default=None,
-                )
-                if name is None:
-                    return None
+    def _take_next(worker: _PoolWorker) -> Optional[_Item]:
+        now = time.monotonic()
+        if worker.group is not None:
+            item = _pop_ready(groups[worker.group], now)
+            if item is not None:
+                return item
+        for name in order:  # claim the next untouched group
+            if name not in claimed and groups[name]:
+                claimed.add(name)
                 worker.group = name
-                queue = groups[name]
-        return queue.pop(0)
+                return groups[name].pop(0)
+        # Tail: help the in-progress group with the most work left.
+        for name in sorted(order, key=lambda g: -len(groups[g])):
+            item = _pop_ready(groups[name], now)
+            if item is not None:
+                worker.group = name
+                return item
+        return None
 
     def _dispatch(worker: _PoolWorker) -> bool:
         """Hand the worker its next job; False when idle or send failed."""
         item = _take_next(worker)
         if item is None:
             return False
-        job, job_key = item
+        job, job_key, attempt, _ = item
         try:
-            worker.job_conn.send(("job", job, job_key, 1))
+            worker.job_conn.send(("job", job, job_key, attempt))
         except (BrokenPipeError, OSError):
             # The worker died before we noticed; put the job back (it
             # was never attempted) and let the sentinel path recycle.
             groups[group_of(job)].insert(0, item)
             return False
         now = time.monotonic()
-        worker.current = (job, job_key, 1)
+        worker.current = (job, job_key, attempt)
         worker.deadline = now + policy.timeout if policy.timeout else None
         worker.last_beat = now
         worker.progress = None
         return True
 
     def _charge(worker: _PoolWorker, error: SimulationError) -> None:
-        """The in-flight job's pooled attempt failed: fallback or fail."""
+        """The in-flight attempt failed: requeue it with backoff, or fail."""
         job, job_key, attempt = worker.current
         worker.current = None
         worker.deadline = None
-        if policy.retries >= 1 and is_retryable(error):
-            fallback.append((job, job_key))
+        if attempt <= policy.retries and is_retryable(error):
+            report.retried += 1
+            not_before = time.monotonic() + policy.backoff(job_key, attempt + 1)
+            groups[group_of(job)].append((job, job_key, attempt + 1, not_before))
         else:
             report.failures.append(
                 JobFailure(job_key, type(error).__name__, str(error), attempt)
@@ -1313,7 +1264,6 @@ def _run_pool(
                 return
         worker.current = None
         worker.deadline = None
-        worker.jobs_done += 1
         report.completed[job_key] = result
         if progress is not None:
             progress(report.executed + report.failed, total, job_key, "ok")
@@ -1374,15 +1324,15 @@ def _run_pool(
                 break
 
     def _kill(worker: _PoolWorker, error: SimulationError) -> None:
-        """Terminate one overdue/stalled worker, charge its job, recycle."""
-        worker.process.terminate()
+        """SIGKILL one overdue/stalled worker, charge its job, recycle."""
+        worker.process.kill()
         _abort_spans(worker)
         _charge(worker, error)
         _retire(worker)
         _recycle()
 
     try:
-        for _ in range(min(workers, total)):
+        for _ in range(workers):
             _spawn_worker()
         for worker in list(pool):
             _dispatch(worker)
@@ -1453,9 +1403,19 @@ def _run_pool(
                     break  # no capacity and nothing recyclable
                 continue
 
+            # Idle workers pick up retries whose backoff has passed.
+            waiting: List[float] = []
+            for worker in pool:
+                if worker.current is None and not _dispatch(worker):
+                    waiting = [
+                        item[3] for items in groups.values() for item in items
+                    ]
+                    break
+
             wait_for = 0.2
             now = time.monotonic()
             deadlines = [w.deadline for w in pool if w.deadline is not None]
+            deadlines += waiting
             if policy.stall_timeout is not None:
                 deadlines += [
                     w.last_beat + policy.stall_timeout
@@ -1526,340 +1486,4 @@ def _run_pool(
             _abort_spans(worker)
             worker.job_conn.close()
             worker.result_conn.close()
-
-    if fallback and not (report.interrupted or report.aborted):
-        # Per-attempt mode is the retry path: each fallback job already
-        # burned attempt 1 in the pool, so the sub-supervisor numbers
-        # its attempts from 2 (attempt_offset=1) and inherits the full
-        # remaining retry budget.
-        report.retried += len(fallback)
-        settled = report.executed + report.failed
-        sub_progress: Optional[Callable[[int, int, str, str], None]] = None
-        if progress is not None:
-            def sub_progress(done: int, _sub_total: int, job_key: str, status: str) -> None:
-                progress(settled + done, total, job_key, status)
-
-        sub = run_supervised(
-            [job for job, _ in fallback],
-            run_one,
-            workers=min(workers, len(fallback)),
-            policy=policy,
-            key=key,
-            validate=validate,
-            progress=sub_progress,
-            heartbeat=heartbeat,
-            child_setup=child_setup,
-            span=span,
-            mode="attempt",
-            attempt_offset=1,
-        )
-        report.merge(sub)
-    return report
-
-
-def run_supervised(
-    jobs: Sequence[Any],
-    run_one: Callable[[Any], Any],
-    *,
-    workers: int = 0,
-    policy: Optional[RetryPolicy] = None,
-    key: Optional[Callable[[Any], str]] = None,
-    validate: Optional[Callable[[Any], None]] = None,
-    progress: Optional[Callable[[int, int, str, str], None]] = None,
-    heartbeat: Optional[Callable[[str, int, int, float], None]] = None,
-    child_setup: Optional[Callable[[], None]] = None,
-    in_process: Optional[bool] = None,
-    mode: Optional[str] = None,
-    group: Optional[Callable[[Any], str]] = None,
-    attempt_offset: int = 0,
-    span: Optional[Callable[[Dict[str, Any]], None]] = None,
-) -> CampaignReport:
-    """Run ``run_one`` over ``jobs`` under supervision; never raises.
-
-    Two worker modes (``mode``, or ``REPRO_WORKER_MODE``, default
-    ``attempt``).  In **attempt** mode each attempt runs in its own
-    short-lived process, so a crash loses one attempt and nothing else.
-    In **pool** mode (:func:`_run_pool`) long-lived workers drain the
-    queue with affinity to ``group(job)`` and retryable failures fall
-    back to attempt mode; crash isolation is identical.  Failed
-    attempts retry up to ``policy.retries`` times with exponential
-    backoff + jitter — except :class:`InvariantViolation`, which is
-    deterministic and fails the job immediately.  Jobs that exhaust the
-    budget land in the report's ``failures``, the rest in ``completed``
-    (keyed by ``key(job)``).  ``attempt_offset`` shifts absolute
-    attempt numbering (the pool fallback uses it; campaigns should
-    leave it 0).
-
-    Workers stream progress heartbeats over the result pipe (published
-    by the simulation loop via :func:`emit_heartbeat`).  The watchdog
-    uses them two ways: ``policy.stall_timeout`` kills an attempt that
-    goes silent for that many seconds (a *stall* timeout — a slow but
-    heartbeating job is left alone), and ``heartbeat`` (if given) is
-    called in the parent as ``(key, done, total, sim_time)`` so
-    campaigns can checkpoint mid-run progress markers.
-
-    ``validate`` (if given) runs in the parent on every returned
-    result; a validation error is classified :class:`CorruptResult`
-    and retried like any other failure.  ``child_setup`` runs first
-    inside every worker (campaigns use it to silence per-worker store
-    writes).  ``progress`` is called as ``(done, total, key, status)``
-    after each job settles.  ``in_process`` forces (or forbids) the
-    serial fallback; by default it is used when no start method works.
-
-    ``span`` (if given) receives every observability span event the
-    workers forward over their result pipes (:mod:`repro.obs.spans`
-    dicts, in arrival order) — campaigns pass a
-    :meth:`TraceCollector.add <repro.obs.spans.TraceCollector>` here to
-    merge all workers' spans into one trace.  If a worker dies or is
-    killed with spans open, the supervisor synthesizes ``aborted`` end
-    events for them so the merged trace never contains a dangling span.
-    In the in-process fallback workers emit straight to the active span
-    sink instead and ``span`` is unused.
-    """
-    policy = policy or RetryPolicy()
-    key = key or (lambda job: repr(job))
-    jobs = list(jobs)
-    if not jobs:
-        return CampaignReport()
-    mode = resolve_worker_mode(mode)
-
-    context = None if in_process else supervision_context()
-    if context is None:
-        if in_process is False:
-            raise SimulationError("multiprocessing unavailable and in_process=False")
-        return _run_in_process(
-            jobs, run_one, key, policy, validate, progress, heartbeat,
-            attempt_offset=attempt_offset,
-        )
-
-    workers = min(default_workers(workers), len(jobs))
-    if mode == "pool" and attempt_offset == 0:
-        return _run_pool(
-            jobs,
-            run_one,
-            context=context,
-            workers=workers,
-            policy=policy,
-            key=key,
-            group=group,
-            validate=validate,
-            progress=progress,
-            heartbeat=heartbeat,
-            child_setup=child_setup,
-            span=span,
-        )
-
-    report = CampaignReport()
-    total = len(jobs)
-    # (job, key, next attempt number, earliest start time)
-    ready: List[Tuple[Any, str, int, float]] = [
-        (job, key(job), attempt_offset + 1, 0.0) for job in jobs
-    ]
-    running: List[_Attempt] = []
-
-    def _spawn(job: Any, job_key: str, attempt: int) -> None:
-        parent_conn, child_conn = context.Pipe(duplex=False)
-        process = context.Process(
-            target=_attempt_entry,
-            args=(
-                child_conn, run_one, job, job_key, attempt, child_setup,
-                span is not None,
-            ),
-        )
-        process.start()
-        child_conn.close()
-        started = time.monotonic()
-        deadline = started + policy.timeout if policy.timeout else None
-        running.append(
-            _Attempt(
-                process, parent_conn, job, job_key, attempt, deadline,
-                last_beat=started,
-            )
-        )
-
-    def _settle(attempt: _Attempt, error: SimulationError) -> None:
-        """One attempt failed: requeue with backoff or record the failure."""
-        if attempt.attempt <= policy.retries and is_retryable(error):
-            report.retried += 1
-            not_before = time.monotonic() + policy.backoff(
-                attempt.key, attempt.attempt + 1
-            )
-            ready.append((attempt.job, attempt.key, attempt.attempt + 1, not_before))
-        else:
-            report.failures.append(
-                JobFailure(attempt.key, type(error).__name__, str(error), attempt.attempt)
-            )
-            if progress is not None:
-                progress(report.executed + report.failed, total, attempt.key, "FAILED")
-
-    def _drain(attempt: _Attempt) -> Any:
-        """Consume queued pipe messages from one attempt.
-
-        Heartbeats update the attempt's watchdog state (and are
-        forwarded to the ``heartbeat`` callback); see
-        :func:`_drain_pipe` for the return convention.
-        """
-
-        def on_beat(done: int, n: int, sim_time: float) -> None:
-            attempt.last_beat = time.monotonic()
-            attempt.progress = (done, n, sim_time)
-            if heartbeat is not None:
-                heartbeat(attempt.key, done, n, sim_time)
-
-        on_span = None
-        if span is not None:
-            def on_span(event: Dict[str, Any]) -> None:
-                if event.get("ev") == "begin":
-                    attempt.open_spans[event["span"]] = event
-                elif event.get("ev") == "end":
-                    attempt.open_spans.pop(event.get("span"), None)
-                span(event)
-
-        return _drain_pipe(attempt.conn, on_beat, on_span)
-
-    def _abort_spans(attempt: _Attempt) -> None:
-        """Close spans a dead/killed attempt left open (see _run_pool)."""
-        if span is not None:
-            for begin in attempt.open_spans.values():
-                span(obs_spans.synthesize_abort(begin))
-        attempt.open_spans.clear()
-
-    def _finish(attempt: _Attempt, payload: Any) -> None:
-        """Remove one finished/dead attempt and classify its outcome."""
-        running.remove(attempt)
-        attempt.conn.close()
-        attempt.process.join(timeout=5.0)
-        _abort_spans(attempt)
-        if payload is None or payload is _EOF:
-            code = attempt.process.exitcode
-            _settle(attempt, WorkerCrash(f"worker exited with code {code}"))
-            return
-        if payload[0] == "err":
-            _settle(attempt, _rebuild_error(payload[1], payload[2]))
-            return
-        result = payload[1]
-        if validate is not None:
-            try:
-                validate(result)
-            except Exception as exc:
-                _settle(attempt, CorruptResult(f"{attempt.key}: {exc}"))
-                return
-        report.completed[attempt.key] = result
-        if progress is not None:
-            progress(report.executed + report.failed, total, attempt.key, "ok")
-
-    def _kill(attempt: _Attempt, error: SimulationError) -> None:
-        """Terminate one overdue/stalled attempt and settle it."""
-        attempt.process.terminate()
-        attempt.process.join(timeout=5.0)
-        if attempt.process.is_alive():  # pragma: no cover - stuck worker
-            attempt.process.kill()
-            attempt.process.join(timeout=5.0)
-        running.remove(attempt)
-        attempt.conn.close()
-        _abort_spans(attempt)
-        _settle(attempt, error)
-
-    try:
-        while ready or running:
-            if shutdown_requested():
-                report.interrupted = True
-                break
-            if (
-                policy.max_failures is not None
-                and report.failed >= policy.max_failures
-            ):
-                report.aborted = (
-                    f"stopped after {report.failed} permanent failure(s) "
-                    f"(max-failures={policy.max_failures})"
-                )
-                break
-            now = time.monotonic()
-            # Launch whatever is ready while worker slots are free.
-            ready.sort(key=lambda item: item[3])
-            while ready and len(running) < workers and ready[0][3] <= now:
-                job, job_key, attempt, _ = ready.pop(0)
-                _spawn(job, job_key, attempt)
-
-            if not running:
-                # Everything pending is backing off; sleep until the next one.
-                time.sleep(max(ready[0][3] - now, 0.0) + 0.001)
-                continue
-
-            # Enforce the watchdog: wall-clock deadlines and heartbeat
-            # stalls.  Drain first so a final payload (or a fresh beat)
-            # that raced the check wins over the kill.
-            now = time.monotonic()
-            killed = False
-            for attempt in list(running):
-                overdue = attempt.deadline is not None and now > attempt.deadline
-                stalled = (
-                    policy.stall_timeout is not None
-                    and now - attempt.last_beat > policy.stall_timeout
-                )
-                if not (overdue or stalled):
-                    continue
-                payload = _drain(attempt)
-                if payload is not None and payload is not _EOF:
-                    _finish(attempt, payload)
-                    continue
-                if overdue:
-                    error: SimulationError = JobTimeout(
-                        f"attempt exceeded {policy.timeout:.3g}s "
-                        f"(attempt {attempt.attempt})"
-                    )
-                elif now - attempt.last_beat <= policy.stall_timeout:
-                    continue  # the drain picked up a fresh heartbeat
-                else:
-                    reached = (
-                        f"; last progress {attempt.progress[0]}/{attempt.progress[1]}"
-                        f" accesses at sim time {attempt.progress[2]:.0f}"
-                        if attempt.progress is not None
-                        else " before the first heartbeat"
-                    )
-                    error = StallTimeout(
-                        f"no heartbeat for {policy.stall_timeout:.3g}s "
-                        f"(attempt {attempt.attempt}){reached}"
-                    )
-                _kill(attempt, error)
-                killed = True
-            if killed:
-                continue
-
-            # Wait for a message, a worker death, or the nearest deadline.
-            wait_for = 0.2
-            deadlines = [a.deadline for a in running if a.deadline is not None]
-            if policy.stall_timeout is not None:
-                deadlines += [a.last_beat + policy.stall_timeout for a in running]
-            if deadlines:
-                wait_for = min(wait_for, max(min(deadlines) - now, 0.0) + 0.001)
-            sentinels = [a.process.sentinel for a in running]
-            fired = multiprocessing.connection.wait(
-                [a.conn for a in running] + sentinels, timeout=wait_for
-            )
-            if not fired:
-                continue
-            for attempt in list(running):
-                conn_fired = attempt.conn in fired
-                sentinel_fired = attempt.process.sentinel in fired
-                if not (conn_fired or sentinel_fired):
-                    continue
-                payload = _drain(attempt)
-                if payload is None and sentinel_fired:
-                    # The process exited; one more drain catches a final
-                    # payload racing the sentinel, else it's a crash.
-                    payload = _drain(attempt)
-                    _finish(attempt, payload)
-                elif payload is not None:
-                    _finish(attempt, None if payload is _EOF else payload)
-                # else: heartbeats only — the worker is alive and working.
-    finally:
-        for attempt in running:  # interrupted: never leak worker processes
-            attempt.process.terminate()
-            attempt.process.join(timeout=2.0)
-            if attempt.process.is_alive():  # pragma: no cover - stuck worker
-                attempt.process.kill()
-                attempt.process.join(timeout=2.0)
-            _abort_spans(attempt)
-            attempt.conn.close()
     return report

@@ -46,16 +46,13 @@ class Sweep:
         retries: int = 2,
         timeout: Optional[float] = None,
         stall_timeout: Optional[float] = None,
-        worker_mode: Optional[str] = None,
     ) -> CampaignReport:
         """Run this sweep's matrix under the fault-tolerant supervisor.
 
         Fills the result cache (and the persistent store, when active)
         in parallel with per-job retries/timeouts (``stall_timeout``
         arms the heartbeat watchdog instead of a wall-clock budget); a
-        subsequent :meth:`run` then replays from cache.  ``worker_mode``
-        selects the warm pool (default) or per-attempt workers.
-        Returns the campaign report — callers that need all-or-nothing
+        subsequent :meth:`run` then replays from cache.  Returns the campaign report — callers that need all-or-nothing
         semantics can ``report.raise_if_failed()``.
         """
         from repro.sim.parallel import prewarm
@@ -68,7 +65,6 @@ class Sweep:
             retries=retries,
             timeout=timeout,
             stall_timeout=stall_timeout,
-            worker_mode=worker_mode,
         )
 
     def run(self) -> Dict[str, SuiteResult]:

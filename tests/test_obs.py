@@ -478,21 +478,6 @@ class TestCampaignTrace:
         ]
         assert aborted and all(e.get("synthesized") for e in aborted)
 
-    def test_crash_attempt_mode(self, tmp_path, monkeypatch):
-        resilience.set_fault_injector(
-            lambda key, attempt: "crash" if attempt == 1 else None
-        )
-        report = _campaign(
-            tmp_path, monkeypatch, jobs=2, retries=2, worker_mode="attempt",
-            benchmarks=("swim", "mcf"),
-        )
-        assert report.ok
-        events = obs_trace.load_events(report.trace_path)
-        assert obs_trace.summarize(events)["dangling"] == 0
-        assert any(
-            e["ev"] == "end" and e["status"] == "aborted" for e in events
-        )
-
     def test_disabled_campaign_writes_nothing(self, tmp_path, monkeypatch):
         report = _campaign(tmp_path, monkeypatch, obs="off")
         assert report.ok

@@ -3,25 +3,26 @@
 These prove the pool acceptance paths: long-lived workers amortise
 process startup across jobs; affinity keeps one benchmark's configs on
 one worker; a worker killed mid-campaign loses only its in-flight job
-(the worker is recycled, the job retried through the per-attempt
-fallback with continuous attempt numbering); and the store/resume
-behaviour is identical to per-attempt mode.
+(the worker is recycled, the job retried inside the pool with
+continuous attempt numbering and its backoff honoured); and per-cell
+results and store/resume behaviour match the in-process path.
 """
 
 import os
+import time
 
 import pytest
 
-from repro.sim import SimulationConfig, prewarm, simulate
+from repro.sim import SimulationConfig, parallel, prewarm, simulate
 from repro.sim import store as store_mod
 from repro.sim.parallel import _affinity_order, _job_key
 from repro.sim.resilience import (
-    WORKER_MODE_ENV,
-    WORKER_MODES,
     InvariantViolation,
+    JobTimeout,
     RetryPolicy,
+    SimulationError,
     StallTimeout,
-    resolve_worker_mode,
+    graceful_shutdown,
     run_supervised,
     set_fault_injector,
 )
@@ -34,6 +35,19 @@ TCP = SimulationConfig.for_prefetcher("tcp-8k")
 FAST_POLICY = RetryPolicy(retries=2, backoff_base=0.0)
 
 
+_real_run_job = parallel._run_job
+
+
+def _slow_job(job):
+    time.sleep(4.0)
+    return _real_run_job(job)
+
+
+def _sleep_8s(job):
+    time.sleep(8.0)
+    return job
+
+
 @pytest.fixture(autouse=True)
 def _clean_state():
     clear_cache()
@@ -41,27 +55,6 @@ def _clean_state():
     clear_cache()
     set_fault_injector(None)
     store_mod.clear_active_store()
-
-
-class TestModeSelection:
-    def test_explicit_mode_wins(self, monkeypatch):
-        monkeypatch.setenv(WORKER_MODE_ENV, "attempt")
-        assert resolve_worker_mode("pool") == "pool"
-
-    def test_env_overrides_default(self, monkeypatch):
-        monkeypatch.setenv(WORKER_MODE_ENV, "attempt")
-        assert resolve_worker_mode(None, default="pool") == "attempt"
-
-    def test_invalid_env_falls_back_to_default(self, monkeypatch):
-        monkeypatch.setenv(WORKER_MODE_ENV, "carrier-pigeon")
-        assert resolve_worker_mode(None, default="pool") == "pool"
-
-    def test_invalid_explicit_mode_raises(self):
-        with pytest.raises(ValueError):
-            resolve_worker_mode("carrier-pigeon")
-
-    def test_modes_constant(self):
-        assert set(WORKER_MODES) == {"pool", "attempt"}
 
 
 class TestAffinityOrder:
@@ -93,7 +86,7 @@ class TestAffinityOrder:
 
 
 class TestPoolSupervisor:
-    """run_supervised(mode="pool") over trivial job functions."""
+    """run_supervised's warm pool over trivial job functions."""
 
     def test_workers_are_reused_across_jobs(self):
         report = run_supervised(
@@ -102,7 +95,6 @@ class TestPoolSupervisor:
             workers=2,
             policy=FAST_POLICY,
             key=str,
-            mode="pool",
         )
         assert report.ok
         assert len(set(report.completed.values())) <= 2  # 8 jobs, <= 2 pids
@@ -116,7 +108,6 @@ class TestPoolSupervisor:
             workers=1,
             policy=FAST_POLICY,
             key=str,
-            mode="pool",
             group=lambda job: job[0],
             progress=lambda done, total, key, status: order.append(key),
         )
@@ -135,7 +126,6 @@ class TestPoolSupervisor:
             workers=1,
             policy=FAST_POLICY,
             key=str,
-            mode="pool",
         )
         assert report.ok, report.summary()
         assert report.completed == {str(i): i * 10 for i in range(5)}
@@ -143,9 +133,9 @@ class TestPoolSupervisor:
         assert report.recycled >= 1
         assert "recycled" in report.summary()
 
-    def test_fallback_attempt_numbering_is_continuous(self):
+    def test_retry_attempt_numbering_is_continuous(self):
         # Every job crashes on absolute attempt 1 and only attempt 1.
-        # If the fallback restarted numbering at 1, it would crash
+        # If a requeued job restarted numbering at 1, it would crash
         # forever; continuous numbering (attempt 2) must succeed.
         set_fault_injector(lambda key, attempt: "crash" if attempt == 1 else None)
         report = run_supervised(
@@ -154,7 +144,6 @@ class TestPoolSupervisor:
             workers=2,
             policy=FAST_POLICY,
             key=str,
-            mode="pool",
         )
         assert report.ok, report.summary()
         assert report.retried == 4
@@ -167,25 +156,24 @@ class TestPoolSupervisor:
             workers=1,
             policy=RetryPolicy(retries=1, backoff_base=0.0),
             key=str,
-            mode="pool",
         )
         assert report.failed == 1
         assert report.failures[0].error == "WorkerCrash"
-        assert report.failures[0].attempts == 2  # pool try + fallback try
+        assert report.failures[0].attempts == 2  # first try + one retry
 
     def test_invariant_violation_is_not_retried(self):
         def violate(job):
             raise InvariantViolation("deterministic bug")
 
         report = run_supervised(
-            ["x"], violate, workers=1, policy=FAST_POLICY, key=str, mode="pool",
+            ["x"], violate, workers=1, policy=FAST_POLICY, key=str,
         )
         assert report.failed == 1
         assert report.failures[0].error == "InvariantViolation"
         assert report.failures[0].attempts == 1
         assert report.retried == 0
 
-    def test_timeout_kills_pooled_job_then_fallback_succeeds(self):
+    def test_timeout_kills_pooled_job_then_retry_succeeds(self):
         set_fault_injector(
             lambda key, attempt: "timeout" if attempt == 1 else None
         )
@@ -195,11 +183,43 @@ class TestPoolSupervisor:
             workers=1,
             policy=RetryPolicy(retries=1, timeout=0.5, backoff_base=0.0),
             key=str,
-            mode="pool",
         )
         assert report.ok, report.summary()
         assert report.retried == 1
-        assert report.recycled == 0  # no undispatched work: no replacement
+        assert report.recycled == 1  # the replacement runs the retry
+
+    def test_retry_waits_out_its_backoff(self, tmp_path):
+        # The job fails on attempt 1 and records when; attempt 2 returns
+        # its own start time.  The gap must cover the backoff.
+        marker = tmp_path / "first"
+
+        def flaky(job):
+            if not marker.exists():
+                marker.write_text(repr(time.monotonic()))
+                raise SimulationError("first attempt fails")
+            return time.monotonic()
+
+        policy = RetryPolicy(retries=2, backoff_base=0.5)
+        report = run_supervised(["job"], flaky, workers=1, policy=policy, key=str)
+        assert report.ok, report.summary()
+        assert report.retried == 1
+        gap = report.completed["job"] - float(marker.read_text())
+        assert gap >= policy.backoff("job", 2)
+
+    def test_watchdog_kill_is_not_swallowed_by_shutdown_handler(self):
+        # Forked workers inherit graceful_shutdown's SIGTERM handler; the
+        # watchdog must still reclaim overdue workers at once.
+        started = time.monotonic()
+        with graceful_shutdown():
+            report = run_supervised(
+                ["a", "b"],
+                _sleep_8s,
+                workers=2,
+                policy=RetryPolicy(retries=0, timeout=0.5),
+                key=str,
+            )
+        assert [f.error for f in report.failures] == ["JobTimeout", "JobTimeout"]
+        assert time.monotonic() - started < 4.0
 
     def test_stall_watchdog_fires_in_pool_mode(self):
         set_fault_injector(lambda key, attempt: "stall")
@@ -209,7 +229,6 @@ class TestPoolSupervisor:
             workers=1,
             policy=RetryPolicy(retries=0, stall_timeout=0.5, backoff_base=0.0),
             key=str,
-            mode="pool",
         )
         assert report.failed == 1
         assert report.failures[0].error == StallTimeout.__name__
@@ -217,15 +236,15 @@ class TestPoolSupervisor:
 
 
 class TestPoolCampaigns:
-    """prewarm-level behaviour: equality with attempt mode, store parity."""
+    """prewarm-level behaviour: equality with in-process, store parity."""
 
     BENCHES = ("fma3d", "eon")
 
-    def _campaign(self, mode, **kwargs):
+    def _campaign(self, jobs, **kwargs):
         clear_cache()
         report = prewarm(
             [BASE, TCP], Scale.QUICK, self.BENCHES,
-            jobs=2, worker_mode=mode, trace_cache=False, **kwargs,
+            jobs=jobs, trace_cache=False, **kwargs,
         )
         results = {
             _job_key((name, config, Scale.QUICK.accesses)): simulate(
@@ -236,17 +255,16 @@ class TestPoolCampaigns:
         }
         return report, results
 
-    def test_pool_matches_attempt_per_cell(self):
-        attempt_report, attempt_results = self._campaign("attempt")
-        pool_report, pool_results = self._campaign("pool")
-        assert attempt_report.ok and pool_report.ok
-        assert attempt_results == pool_results
+    def test_pool_matches_in_process_per_cell(self):
+        serial_report, serial_results = self._campaign(jobs=1)
+        pool_report, pool_results = self._campaign(jobs=2)
+        assert serial_report.ok and pool_report.ok
+        assert serial_results == pool_results
 
     def test_pool_campaign_with_trace_cache(self, tmp_path):
         clear_cache()
         report = prewarm(
-            [BASE], Scale.QUICK, ("fma3d",), jobs=2,
-            worker_mode="pool", trace_cache=str(tmp_path),
+            [BASE], Scale.QUICK, ("fma3d",), jobs=2, trace_cache=str(tmp_path),
         )
         assert report.ok
         assert report.executed == 1
@@ -255,17 +273,28 @@ class TestPoolCampaigns:
 
     def test_custom_int_scale_campaign(self):
         clear_cache()
-        report = prewarm(
-            [BASE], 5000, ("fma3d",), jobs=2,
-            worker_mode="pool", trace_cache=False,
-        )
+        report = prewarm([BASE], 5000, ("fma3d",), jobs=2, trace_cache=False)
         assert report.ok, report.summary()
         assert report.executed == 1
 
+    def test_single_pending_cell_honours_timeout(self, monkeypatch):
+        # One pending cell (a resumed campaign's last one) still runs on
+        # the pool, so the wall-clock budget applies to it.
+        monkeypatch.setattr(parallel, "_run_job", _slow_job)
+        clear_cache()
+        started = time.monotonic()
+        report = prewarm(
+            [BASE], Scale.QUICK, ("fma3d",), jobs=2, retries=0, timeout=0.5,
+            trace_cache=False,
+        )
+        assert report.failed == 1
+        assert report.failures[0].error == JobTimeout.__name__
+        assert time.monotonic() - started < 4.0
+
     def test_killed_worker_store_resume_parity(self, tmp_path):
-        """Acceptance: a mid-campaign kill under pool mode loses only the
-        in-flight job, the campaign completes, and the store resumes
-        exactly as in per-attempt mode."""
+        """Acceptance: a mid-campaign kill loses only the in-flight job,
+        the campaign completes, and a restarted campaign replays
+        everything from the store."""
         store_dir = tmp_path / "store"
         crash_key = f"fma3d/base@{Scale.QUICK.accesses}"
         set_fault_injector(
@@ -274,8 +303,7 @@ class TestPoolCampaigns:
         clear_cache()
         with store_mod.use_store(ResultStore(store_dir)):
             report = prewarm(
-                [BASE, TCP], Scale.QUICK, self.BENCHES,
-                jobs=2, worker_mode="pool", trace_cache=False,
+                [BASE, TCP], Scale.QUICK, self.BENCHES, jobs=2, trace_cache=False,
             )
         assert report.ok, report.summary()
         assert report.retried == 1
@@ -287,21 +315,7 @@ class TestPoolCampaigns:
         clear_cache()
         with store_mod.use_store(ResultStore(store_dir)):
             resumed = prewarm(
-                [BASE, TCP], Scale.QUICK, self.BENCHES,
-                jobs=2, worker_mode="pool", trace_cache=False,
+                [BASE, TCP], Scale.QUICK, self.BENCHES, jobs=2, trace_cache=False,
             )
         assert resumed.skipped == 4
         assert resumed.executed == 0
-
-    def test_env_selects_mode_for_prewarm(self, monkeypatch):
-        # REPRO_WORKER_MODE=attempt must reach the supervisor: with the
-        # injector crashing *pool* workers' first attempts only via the
-        # recycled counter we can tell which path ran.
-        monkeypatch.setenv(WORKER_MODE_ENV, "attempt")
-        set_fault_injector(lambda key, attempt: "crash" if attempt == 1 else None)
-        clear_cache()
-        report = prewarm(
-            [BASE], Scale.QUICK, self.BENCHES, jobs=2, trace_cache=False,
-        )
-        assert report.ok
-        assert report.recycled == 0  # attempt mode never recycles

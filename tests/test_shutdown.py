@@ -148,13 +148,13 @@ class TestMaxFailures:
         report = run_supervised(
             list("abcdef"), _ok_job,
             policy=RetryPolicy(retries=0, backoff_base=0.0, max_failures=2),
-            key=str, workers=2, mode="attempt",
+            key=str, workers=2,
         )
         assert report.aborted is not None
         assert report.failed >= 2 and report.failed < 6
 
 
-def _start_campaign(store_dir, mode):
+def _start_campaign(store_dir):
     """Launch a quick-scale CLI campaign in its own process group."""
     env = dict(os.environ, PYTHONPATH=str(
         os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -166,7 +166,7 @@ def _start_campaign(store_dir, mode):
         CLI + [
             "run", "fig1", "--scale", "quick",
             "--benchmarks", "swim", "mcf", "gcc", "ammp",
-            "--jobs", "2", "--worker-mode", mode, "--store-dir", str(store_dir),
+            "--jobs", "2", "--store-dir", str(store_dir),
         ],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         env=env, start_new_session=True,
@@ -189,12 +189,9 @@ def _wait_for_progress(proc, completions=2, timeout=120.0):
 
 
 class TestOrphanHygiene:
-    @pytest.mark.parametrize("mode", ["pool", "attempt"])
-    def test_sigterm_leaves_no_orphans_and_resume_loses_nothing(
-        self, tmp_path, mode
-    ):
+    def test_sigterm_leaves_no_orphans_and_resume_loses_nothing(self, tmp_path):
         store_dir = tmp_path / "store"
-        proc = _start_campaign(store_dir, mode)
+        proc = _start_campaign(store_dir)
         try:
             _wait_for_progress(proc)
             os.kill(proc.pid, signal.SIGTERM)
@@ -215,7 +212,7 @@ class TestOrphanHygiene:
             time.sleep(0.1)
         else:
             os.killpg(proc.pid, signal.SIGKILL)
-            raise AssertionError(f"{mode}: orphaned workers survived SIGTERM")
+            raise AssertionError("orphaned workers survived SIGTERM")
 
         # Completed results were checkpointed and verify clean.
         store = ResultStore(store_dir)
