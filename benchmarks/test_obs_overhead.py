@@ -1,4 +1,4 @@
-"""Overhead gate for the observability layer (the hotpath bench cell).
+"""Overhead gate for the observability layer (swim under TCP-8K, QUICK).
 
 The one-int-compare discipline claims that *disabled* observability is
 free: with no registry active and no span sink installed, the engine

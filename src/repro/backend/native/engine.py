@@ -106,7 +106,7 @@ class NativeCore:
     def __init__(self, params: CoreParams = CoreParams()) -> None:
         self.params = params
         #: nanoseconds spent inside ``Engine.step`` over the last run
-        #: (``repro.bench.backend`` and the ledger read this key).
+        #: (the ledger reads this key).
         self.engine_stats = {"epilogue_ns": 0}
 
     def run(

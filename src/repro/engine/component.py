@@ -24,8 +24,7 @@ binds each component's concrete methods locally and calls them
 directly (a virtual ``access(event)`` per component per access would
 put an allocation and a double dispatch on the critical path).  The
 contract exists so that every component *can* be driven uniformly from
-cold paths: tests, probes, and tools like the bench harness's
-component census.
+cold paths: tests, probes, and analysis tools.
 """
 
 from __future__ import annotations

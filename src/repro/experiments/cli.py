@@ -122,7 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           "$REPRO_STORE_DIR or ~/.cache/repro-tcp)")
     run.add_argument("--no-store", action="store_true",
                      help="disable result persistence entirely")
-    run.add_argument("--retries", type=_parse_retries, default=2, metavar="N",
+    run.add_argument("--retries", type=_parse_retries, default=None, metavar="N",
                      help="extra attempts per failed simulation (default 2)")
     run.add_argument("--timeout", type=_parse_timeout, default=None,
                      metavar="SECONDS",
@@ -183,34 +183,6 @@ def _build_parser() -> argparse.ArgumentParser:
                               help="observability: metrics, span tracing, or "
                                    "both (default: $REPRO_OBS or off)")
     simulate_cmd.set_defaults(func=_cmd_simulate)
-
-    bench = sub.add_parser(
-        "bench", help="measure hot-path or backend throughput"
-    )
-    bench.add_argument("--scale", type=_parse_scale, default=Scale.STANDARD,
-                       help="trace length per run (default standard)")
-    bench.add_argument("--repeats", type=int, default=3, metavar="N",
-                       help="timed runs per cell; fastest wins (default 3)")
-    bench.add_argument("--workloads", nargs="*", default=None,
-                       choices=sorted(SUITE), metavar="NAME",
-                       help="workloads to time (default: the fig11 mix)")
-    bench.add_argument("--prefetchers", nargs="*", default=None,
-                       choices=sorted(PREFETCHERS), metavar="NAME",
-                       help="hot-path prefetchers to time "
-                            "(default none/nextline/tcp-8k)")
-    # Free-form on purpose: backends register at import time, so a
-    # frozen choices= tuple here would go stale (and argparse's
-    # "invalid choice" names the flag, not the registry).  _cmd_bench
-    # validates explicitly and lists what is actually registered.
-    bench.add_argument("--backend", default=None, metavar="NAME",
-                       help="pit this backend against the python reference "
-                            "per (workload, prefetcher) cell and write "
-                            "BENCH_backend.json")
-    bench.add_argument("--output", default=None, metavar="PATH",
-                       help="result file (default BENCH_hotpath.json, or "
-                            "BENCH_backend.json with --backend; "
-                            "'-' skips writing)")
-    bench.set_defaults(func=_cmd_bench)
 
     trace_cmd = sub.add_parser(
         "trace",
@@ -485,6 +457,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
         return 2
 
+    hosts = args.hosts if args.hosts is not None else os.environ.get("REPRO_HOSTS")
+    if args.jobs == 1 and not hosts:
+        # A single-job run stays in-process, outside the campaign layer
+        # that enforces these flags: refuse them rather than ignore them.
+        for flag in ("retries", "timeout", "stall_timeout", "max_failures"):
+            if getattr(args, flag) is not None:
+                print(
+                    f"error: --{flag.replace('_', '-')} needs --jobs other "
+                    f"than 1 or --hosts (a single-job run is in-process)",
+                    file=sys.stderr,
+                )
+                return 2
+
     _apply_backend(args.backend)
     _apply_sanitize(args.sanitize)
     _apply_obs(args.obs)
@@ -513,7 +498,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                     f"({100.0 * done / total:.0f}%) before interruption"
                 )
 
-    hosts = args.hosts if args.hosts is not None else os.environ.get("REPRO_HOSTS")
     failures = 0
     if args.jobs != 1 or hosts:
         from repro.sim import prewarm
@@ -540,7 +524,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             report = prewarm(
                 scale=args.scale,
                 jobs=args.jobs,
-                retries=args.retries,
+                retries=2 if args.retries is None else args.retries,
                 timeout=args.timeout,
                 stall_timeout=args.stall_timeout,
                 progress=_campaign_progress,
@@ -717,76 +701,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     mode = obs_metrics.resolve_obs()
     if mode.metrics or mode.trace:
         print(f"observability artifacts: {store_mod.default_obs_dir()}")
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.backend is not None and args.backend not in available_backends():
-        registered = ", ".join(available_backends())
-        print(
-            f"error: unknown backend {args.backend!r} "
-            f"(registered backends: {registered})",
-            file=sys.stderr,
-        )
-        return 2
-    if args.backend is not None:
-        return _cmd_bench_backend(args)
-    from repro.bench import run_hotpath_bench
-    from repro.bench.hotpath import DEFAULT_PREFETCHERS, DEFAULT_WORKLOADS
-
-    output = args.output if args.output is not None else "BENCH_hotpath.json"
-    output = None if output == "-" else output
-    document = run_hotpath_bench(
-        workloads=args.workloads or DEFAULT_WORKLOADS,
-        prefetchers=args.prefetchers or DEFAULT_PREFETCHERS,
-        scale=args.scale,
-        repeats=args.repeats,
-        output=output,
-        log=sys.stdout,
-    )
-    print(
-        f"geomean speedup over the legacy driver: "
-        f"{document['geomean_speedup']:.2f}x "
-        f"(min {document['min_speedup']:.2f}x)"
-    )
-    if output is not None:
-        print(f"wrote {output}")
-    return 0
-
-
-def _cmd_bench_backend(args: argparse.Namespace) -> int:
-    from repro.bench.backend import (
-        DEFAULT_PREFETCHERS,
-        DEFAULT_WORKLOADS,
-        run_backend_bench,
-    )
-
-    if args.backend == "python":
-        print(
-            "error: the python backend is the bench's reference arm; "
-            "pick a contender (native)",
-            file=sys.stderr,
-        )
-        return 2
-
-    output = args.output if args.output is not None else "BENCH_backend.json"
-    output = None if output == "-" else output
-    document = run_backend_bench(
-        workloads=args.workloads or DEFAULT_WORKLOADS,
-        prefetchers=args.prefetchers or DEFAULT_PREFETCHERS,
-        scale=args.scale,
-        repeats=args.repeats,
-        contenders=(args.backend,),
-        output=output,
-        log=sys.stdout,
-    )
-    print(
-        f"geomean speedup of the {args.backend} backend over the python "
-        f"reference: {document['geomean_speedup']:.2f}x "
-        f"(min {document['min_speedup']:.2f}x, results bit-identical)"
-    )
-    if output is not None:
-        print(f"wrote {output}")
     return 0
 
 

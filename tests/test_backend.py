@@ -20,7 +20,8 @@ This module exercises the contract where it is most likely to break:
   extension), and the single-slot plane cache across config switches.
 
 ``tests/test_backend_fuzz.py`` adds the randomized differential; the
-benchmark-side gate lives in ``benchmarks/test_backend_perf.py``.
+speed gate (native at least 3x the python loop) lives in
+``benchmarks/test_backend_perf.py``.
 """
 
 import dataclasses
@@ -155,7 +156,14 @@ class TestGoldenParity:
     freeze to the native engine (including its fallback configs).
     """
 
-    CELLS = (("swim", "tcp-8k"), ("mcf", "tcp-8m"), ("gcc", "dbcp-2m"))
+    CELLS = (
+        ("swim", "tcp-8k"),
+        ("mcf", "tcp-8m"),
+        ("gcc", "dbcp-2m"),
+        ("swim", "nextline"),
+        ("mcf", "nextline"),
+        ("mcf", "hybrid-8k"),
+    )
 
     @pytest.mark.parametrize("contender", CONTENDERS)
     @pytest.mark.parametrize("bench,label", CELLS)

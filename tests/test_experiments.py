@@ -108,6 +108,30 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["run", "fig2", "--scale", "enormous"])
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--retries", "0"),
+        ("--timeout", "0.01"),
+        ("--stall-timeout", "5"),
+        ("--max-failures", "1"),
+    ])
+    def test_single_job_run_rejects_campaign_flags(
+        self, flag, value, capsys, monkeypatch
+    ):
+        """``--jobs 1`` runs in-process, where these flags would be
+        silently ignored: the run is refused before simulating."""
+        monkeypatch.delenv("REPRO_HOSTS", raising=False)
+        code = main(["run", "fig11", "--scale", "quick",
+                     "--benchmarks", "fma3d", "--no-store", flag, value])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err
+        assert "[fig11]" not in captured.out
+
+    def test_bench_is_not_a_command(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench"])
+        assert excinfo.value.code == 2
+
 
 class TestTraceExport:
     def test_trace_command_writes_file(self, tmp_path, capsys):

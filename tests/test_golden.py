@@ -27,11 +27,20 @@ from repro.workloads import Scale
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 #: The frozen cells: a spread of benchmarks and the paper's headline
-#: configurations (kept small — each replay is a real QUICK run).
+#: configurations (kept small — each replay is a real QUICK run).  The
+#: swim and mcf rows cross a dense-stride and a pointer-chasing trace
+#: with the hit-dominated path (base), the miss/prefetch path
+#: (nextline, tcp-8k) and the gated L1-promotion path (hybrid-8k).
 GOLDEN_CELLS = (
     ("swim", "base"),
+    ("swim", "nextline"),
     ("swim", "tcp-8k"),
+    ("swim", "hybrid-8k"),
+    ("mcf", "base"),
+    ("mcf", "nextline"),
+    ("mcf", "tcp-8k"),
     ("mcf", "tcp-8m"),
+    ("mcf", "hybrid-8k"),
     ("gcc", "dbcp-2m"),
     ("fma3d", "hybrid-8k"),
 )

@@ -5,7 +5,6 @@ profiling hooks, and — most importantly — the differential guarantee:
 enabling observability must never change a simulation result.
 """
 
-import json
 import os
 
 import pytest
@@ -423,8 +422,8 @@ class TestCampaignTrace:
         summary = obs_trace.summarize(events)
         assert summary["dangling"] == 0
         assert summary["aborted"] == 0
-        # Stage totals should account for nearly all campaign wall time.
-        assert summary["coverage"] >= 0.85
+        # Stage totals should account for all campaign wall time, to 5%.
+        assert abs(summary["coverage"] - 1.0) <= 0.05
         assert {"generate", "simulate"} <= set(summary["stages"])
 
     def test_pool_campaign_merges_worker_spans(self, tmp_path, monkeypatch):
@@ -543,29 +542,3 @@ class TestProfile:
         profs = list(os.scandir(report.profile_dir))
         assert len(profs) == 2
         assert all(entry.name.endswith(".prof") for entry in profs)
-
-
-# ---------------------------------------------------------------------------
-# The committed campaign-trace artifact
-# ---------------------------------------------------------------------------
-
-
-class TestCommittedArtifact:
-    """BENCH_obs_trace.jsonl is the acceptance run: a merged serial
-    campaign trace whose stage breakdown sums to within 5% of wall."""
-
-    def test_committed_trace_meets_coverage_bound(self):
-        from pathlib import Path
-
-        root = Path(__file__).resolve().parent.parent
-        events = obs_trace.load_events(root / "BENCH_obs_trace.jsonl")
-        summary = obs_trace.summarize(events)
-        assert summary["dangling"] == 0
-        assert summary["aborted"] == 0
-        assert abs(summary["coverage"] - 1.0) <= 0.05
-        doc = json.loads(
-            (root / "BENCH_obs_trace.json").read_text(encoding="utf-8")
-        )
-        assert doc["schema"] == "repro-tcp/obs-trace-bench/v1"
-        assert doc["summary"]["spans"] == summary["spans"]
-        assert doc["summary"]["coverage"] == pytest.approx(summary["coverage"])
