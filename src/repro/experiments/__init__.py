@@ -1,10 +1,13 @@
 """One module per table/figure of the paper's evaluation.
 
 Every experiment module exposes ``run(scale, benchmarks=None) ->
-ExperimentResult``; the registry in :mod:`repro.experiments.registry`
+ExperimentResult`` (the mix experiment takes ``mix`` instead of
+``benchmarks``); the registry in :mod:`repro.experiments.registry`
 maps the paper's labels (``table1``, ``fig1`` … ``fig15``) to those
 functions, and :mod:`repro.experiments.cli` is the ``repro-tcp``
-command-line entry point that regenerates any of them.
+command-line entry point that regenerates any of them.  Experiments
+that simulate declare their grid (``CONFIGS``, or the mix's ``cells``)
+so a run campaigns over its cells before any experiment renders.
 
 The mapping to the paper:
 

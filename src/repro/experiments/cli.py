@@ -32,10 +32,11 @@ import argparse
 import os
 import sys
 import time
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro.backend import BACKEND_ENV, available_backends
 from repro.experiments.registry import EXPERIMENTS, run_experiment
+from repro.experiments.registry import cells as experiment_cells
 from repro.obs import metrics as obs_metrics
 from repro.sim import (
     PREFETCHERS,
@@ -45,6 +46,7 @@ from repro.sim import (
 )
 from repro.sim import sanitizer as sanitizer_mod
 from repro.sim import store as store_mod
+from repro.sim.parallel import _job_key, prewarm_cells
 from repro.workloads import BENCHMARK_ORDER, SUITE, Scale
 
 __all__ = ["main"]
@@ -60,36 +62,24 @@ def _parse_scale(text: str) -> Scale:
         )
 
 
-def _parse_retries(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"retries must be an integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"retries must be >= 0, got {value}")
-    return value
+def _bounded(name: str, cast: Callable, ok: Callable, bound: str) -> Callable:
+    """An argparse type: ``cast`` the text, refuse values failing ``ok``."""
+
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"{name} must be {bound}, got {text!r}")
+        return value
+
+    return parse
 
 
-def _parse_max_failures(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"max-failures must be an integer, got {text!r}"
-        )
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"max-failures must be >= 1, got {value}")
-    return value
-
-
-def _parse_timeout(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"timeout must be a number, got {text!r}")
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"timeout must be positive, got {value}")
-    return value
+_parse_retries = _bounded("retries", int, lambda v: v >= 0, "an integer >= 0")
+_parse_max_failures = _bounded("max-failures", int, lambda v: v >= 1, "an integer >= 1")
+_parse_timeout = _bounded("timeout", float, lambda v: v > 0, "a positive number")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -113,7 +103,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           "mix (mix1..mix7) or benchmarks joined with '+' "
                           "(default mix2)")
     run.add_argument("--jobs", type=int, default=1,
-                     help="parallel workers to pre-warm simulations (0 = cpus)")
+                     help="campaign workers (0 = cpus; 1 runs in this process "
+                          "unless a time limit needs a worker to kill)")
     run.add_argument("--resume", action="store_true",
                      help="checkpoint results to the on-disk store and "
                           "re-run only the missing (workload, config) pairs")
@@ -122,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           "$REPRO_STORE_DIR or ~/.cache/repro-tcp)")
     run.add_argument("--no-store", action="store_true",
                      help="disable result persistence entirely")
-    run.add_argument("--retries", type=_parse_retries, default=None, metavar="N",
+    run.add_argument("--retries", type=_parse_retries, default=2, metavar="N",
                      help="extra attempts per failed simulation (default 2)")
     run.add_argument("--timeout", type=_parse_timeout, default=None,
                      metavar="SECONDS",
@@ -390,89 +381,43 @@ def _campaign_progress(done: int, total: int, key: str, status: str) -> None:
     print(f"  [{done}/{total}] {key}: {status}", flush=True)
 
 
-def _apply_sanitize(level: Optional[str]) -> None:
-    """Install a ``--sanitize`` choice for this process *and* workers.
+def _apply_env(args: argparse.Namespace) -> None:
+    """Install ``--backend``/``--sanitize``/``--obs`` for this process
+    *and* its workers.
 
-    Experiments build their configurations internally, so the tier is
-    carried by the environment (which worker processes inherit) rather
-    than by threading a flag through every experiment.
+    Experiments build their configurations internally, so each choice
+    is carried by the environment (which worker processes inherit)
+    rather than threaded through every layer.  A backend choice is safe
+    there because backends are bit-identical by contract: it can never
+    change a result, only its cost.
     """
-    if level is not None:
-        os.environ[sanitizer_mod.SANITIZE_ENV] = level
-
-
-def _apply_obs(value: Optional[str]) -> None:
-    """Install an ``--obs`` choice for this process *and* workers.
-
-    Carried by the environment for the same reason as ``--sanitize``:
-    campaign workers inherit it without threading a flag through every
-    layer.
-    """
-    if value is not None:
-        os.environ[obs_metrics.OBS_ENV] = value
-
-
-def _apply_backend(name: Optional[str]) -> None:
-    """Install a ``--backend`` choice for this process *and* workers.
-
-    Carried by the environment for the same reason as ``--sanitize``:
-    campaign workers inherit it without threading a flag through every
-    layer.  Safe precisely because backends are bit-identical by
-    contract — the selection can never change a result, only its cost.
-    """
-    if name is not None:
-        os.environ[BACKEND_ENV] = name
+    for variable, value in (
+        (BACKEND_ENV, args.backend),
+        (sanitizer_mod.SANITIZE_ENV, args.sanitize),
+        (obs_metrics.OBS_ENV, args.obs),
+    ):
+        if value is not None:
+            os.environ[variable] = value
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     names: List[str] = (
         list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     )
-    for name in names:
-        if name not in EXPERIMENTS:
-            print(f"error: unknown experiment {name!r}", file=sys.stderr)
-            return 2
-
-    mix_spec = None
-    if "mix" in names:
-        from repro.experiments.figure_mix import DEFAULT_MIX
-        from repro.multicore import resolve_mix
-
+    try:
+        if names[0] not in EXPERIMENTS:
+            raise ValueError(f"unknown experiment {names[0]!r}")
+        if args.mix is not None and "mix" not in names:
+            raise ValueError("--mix only applies to the 'mix' experiment")
         if args.experiment == "mix" and args.benchmarks:
-            print(
-                "error: the 'mix' experiment draws its benchmarks from "
-                "--mix, not --benchmarks",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            mix_spec = resolve_mix(args.mix or DEFAULT_MIX)
-        except (KeyError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    elif args.mix is not None:
-        print(
-            "error: --mix only applies to the 'mix' experiment",
-            file=sys.stderr,
-        )
+            raise ValueError("the 'mix' experiment draws its benchmarks from --mix")
+        cells = experiment_cells(names, args.benchmarks, args.mix)
+    except (KeyError, ValueError) as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
 
     hosts = args.hosts if args.hosts is not None else os.environ.get("REPRO_HOSTS")
-    if args.jobs == 1 and not hosts:
-        # A single-job run stays in-process, outside the campaign layer
-        # that enforces these flags: refuse them rather than ignore them.
-        for flag in ("retries", "timeout", "stall_timeout", "max_failures"):
-            if getattr(args, flag) is not None:
-                print(
-                    f"error: --{flag.replace('_', '-')} needs --jobs other "
-                    f"than 1 or --hosts (a single-job run is in-process)",
-                    file=sys.stderr,
-                )
-                return 2
-
-    _apply_backend(args.backend)
-    _apply_sanitize(args.sanitize)
-    _apply_obs(args.obs)
+    _apply_env(args)
     store = _resolve_store(args)
     store_mod.set_active_store(store)
     if store is not None:
@@ -498,111 +443,90 @@ def _cmd_run(args: argparse.Namespace) -> int:
                     f"({100.0 * done / total:.0f}%) before interruption"
                 )
 
+    # Every run is one campaign over the cells its experiments declare,
+    # then a render of each experiment from the result cache.
     failures = 0
-    if args.jobs != 1 or hosts:
-        from repro.sim import prewarm
-
-        # One campaign per cell family: the standing experiment configs
-        # cross the benchmark list; the mix experiment warms its solo
-        # baselines (per prefetcher, mix members only) plus one mix cell
-        # per prefetcher (a mix config is a single cell — see prewarm).
-        campaigns = []
-        if any(name != "mix" for name in names):
-            campaigns.append({"benchmarks": args.benchmarks})
-        if mix_spec is not None:
-            from repro.multicore import mix_config
-
-            campaigns.append({
-                "configs": (
-                    [SimulationConfig.for_prefetcher(p) for p in PREFETCHERS]
-                    + [mix_config(mix_spec, prefetcher=p) for p in PREFETCHERS]
-                ),
-                "benchmarks": list(dict.fromkeys(mix_spec.benchmarks)),
-            })
-        for campaign in campaigns:
-            started = time.time()
-            report = prewarm(
-                scale=args.scale,
-                jobs=args.jobs,
-                retries=2 if args.retries is None else args.retries,
-                timeout=args.timeout,
-                stall_timeout=args.stall_timeout,
-                progress=_campaign_progress,
-                hosts=hosts,
-                max_failures=args.max_failures,
-                **campaign,
+    failed = set()
+    if cells:
+        started = time.time()
+        report = prewarm_cells(
+            cells,
+            args.scale,
+            jobs=args.jobs,
+            retries=args.retries,
+            timeout=args.timeout,
+            stall_timeout=args.stall_timeout,
+            progress=_campaign_progress,
+            hosts=hosts,
+            max_failures=args.max_failures,
+        )
+        recycled = f", {report.recycled} worker(s) recycled" if report.recycled else ""
+        print(
+            f"pre-warmed {report.executed} simulation(s) in "
+            f"{time.time() - started:.1f}s with jobs={args.jobs} "
+            f"({report.skipped} skipped, {report.retried} attempt(s) "
+            f"retried{recycled})"
+        )
+        if report.per_host:
+            shares = ", ".join(
+                f"{host}={count}" for host, count in sorted(report.per_host.items())
             )
-            recycled = (
-                f", {report.recycled} worker(s) recycled" if report.recycled else ""
-            )
+            print(f"fleet: {shares}")
+        if report.hosts_lost:
             print(
-                f"pre-warmed {report.executed} simulation(s) in "
-                f"{time.time() - started:.1f}s with jobs={args.jobs} "
-                f"({report.skipped} skipped, {report.retried} attempt(s) "
-                f"retried{recycled})"
+                f"fleet losses: {report.hosts_lost} host(s) lost, "
+                f"{report.reassigned} job(s) reassigned"
             )
-            if report.per_host:
-                shares = ", ".join(
-                    f"{host}={count}" for host, count in sorted(report.per_host.items())
-                )
-                print(f"fleet: {shares}")
-            if report.hosts_lost:
-                print(
-                    f"fleet losses: {report.hosts_lost} host(s) lost, "
-                    f"{report.reassigned} job(s) reassigned"
-                )
-            health_line = report.store_health_line()
-            if health_line:
-                print(health_line)
-            if report.trace_path:
-                print(f"campaign trace: {report.trace_path}")
-                print("  (inspect with: repro-tcp trace summarize)")
-            if report.profile_dir:
-                print(f"profiles: {report.profile_dir}")
-            print()
-            if report.interrupted:
-                # A graceful SIGTERM/SIGINT: completed work is checkpointed;
-                # resume with the same command to pick up where it stopped.
-                print(report.summary(), file=sys.stderr)
-                print(
-                    "interrupted: campaign stopped by signal; completed results "
-                    "were checkpointed — re-run with --resume to continue",
-                    file=sys.stderr,
-                )
-                return 130
-            if report.aborted is not None:
-                print(report.summary(), file=sys.stderr)
-                print(f"error: campaign aborted: {report.aborted}", file=sys.stderr)
-                return 1
-            if report.fleet_degraded is not None:
-                # The campaign completed, but not on the fleet the user
-                # asked for: report it under its taxonomy name and fail.
-                print(
-                    f"error: FleetDegraded: {report.fleet_degraded}",
-                    file=sys.stderr,
-                )
-                failures += 1
-            if not report.ok:
-                print(report.summary(), file=sys.stderr)
-                failures += report.failed
+        health_line = report.store_health_line()
+        if health_line:
+            print(health_line)
+        if report.trace_path:
+            print(f"campaign trace: {report.trace_path}")
+            print("  (inspect with: repro-tcp trace summarize)")
+        if report.profile_dir:
+            print(f"profiles: {report.profile_dir}")
+        print()
+        if report.interrupted:
+            # A graceful SIGTERM/SIGINT: completed work is checkpointed;
+            # resume with the same command to pick up where it stopped.
+            print(report.summary(), file=sys.stderr)
+            print(
+                "interrupted: campaign stopped by signal; completed results "
+                "were checkpointed — re-run with --resume to continue",
+                file=sys.stderr,
+            )
+            return 130
+        if report.aborted is not None:
+            print(report.summary(), file=sys.stderr)
+            print(f"error: campaign aborted: {report.aborted}", file=sys.stderr)
+            return 1
+        if report.fleet_degraded is not None:
+            # The campaign completed, but not on the fleet the user
+            # asked for: report it under its taxonomy name and fail.
+            print(f"error: FleetDegraded: {report.fleet_degraded}", file=sys.stderr)
+            failures += 1
+        if not report.ok:
+            print(report.summary(), file=sys.stderr)
+            failures += report.failed
+            failed = {failure.key for failure in report.failures}
 
     for name in names:
-        started = time.time()
-        try:
-            result = run_experiment(
-                name,
-                scale=args.scale,
-                benchmarks=None if name == "mix" else args.benchmarks,
-                mix=args.mix if name == "mix" else None,
-            )
-        except SimulationError as exc:
+        lost = sum(
+            _job_key((workload, config, args.scale.accesses)) in failed
+            for workload, config in experiment_cells([name], args.benchmarks, args.mix)
+        )
+        if lost:
+            # Rendering would simulate the failed cells outside the
+            # campaign, past its retries and limits.
             print(
-                f"error: experiment {name} failed with "
-                f"{type(exc).__name__}: {exc}",
+                f"error: experiment {name} not rendered: {lost} of its "
+                f"cell(s) failed in the campaign",
                 file=sys.stderr,
             )
             failures += 1
             continue
+        started = time.time()
+        result = run_experiment(name, args.scale, args.benchmarks, args.mix)
         print(result.render())
         print(f"  ({time.time() - started:.1f}s at scale={args.scale.name.lower()})\n")
 
@@ -641,7 +565,7 @@ def _cmd_simulate_mix(args: argparse.Namespace) -> int:
     try:
         spec = resolve_mix(args.mix)
     except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
     config = mix_config(
         spec, prefetcher=args.prefetcher, shared_pht=args.shared_pht
@@ -675,9 +599,7 @@ def _cmd_simulate_mix(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    _apply_backend(args.backend)
-    _apply_sanitize(args.sanitize)
-    _apply_obs(args.obs)
+    _apply_env(args)
     if args.mix is not None:
         return _cmd_simulate_mix(args)
     if args.benchmark is None:

@@ -14,7 +14,10 @@ from repro.experiments.base import ExperimentResult, suite_order
 from repro.sim import SimulationConfig, simulate
 from repro.workloads import Scale
 
-__all__ = ["run"]
+__all__ = ["CONFIGS", "run"]
+
+#: the grid: every benchmark on the baseline and the ideal-L2 machine.
+CONFIGS = (SimulationConfig.baseline(), SimulationConfig.ideal_l2())
 
 
 def run(
@@ -25,8 +28,7 @@ def run(
     rows = []
     series = {"potential": {}}
     for name in names:
-        base = simulate(name, SimulationConfig.baseline(), scale)
-        ideal = simulate(name, SimulationConfig.ideal_l2(), scale)
+        base, ideal = (simulate(name, config, scale) for config in CONFIGS)
         potential = ideal.improvement_over(base)
         series["potential"][name] = potential
         rows.append([name, base.ipc, ideal.ipc, potential])

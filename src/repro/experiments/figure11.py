@@ -23,9 +23,13 @@ from repro.sim import SimulationConfig, simulate
 from repro.util.stats import geometric_mean
 from repro.workloads import Scale
 
-__all__ = ["CONFIG_LABELS", "run"]
+__all__ = ["CONFIG_LABELS", "CONFIGS", "run"]
 
 CONFIG_LABELS = ("tcp-8k", "tcp-8m", "dbcp-2m")
+#: the grid: the baseline, then one machine per label.
+CONFIGS = (SimulationConfig.baseline(),) + tuple(
+    SimulationConfig.for_prefetcher(label) for label in CONFIG_LABELS
+)
 
 
 def run(
@@ -37,10 +41,10 @@ def run(
     storage: Dict[str, int] = {}
     rows = []
     for name in names:
-        base = simulate(name, SimulationConfig.baseline(), scale)
+        base = simulate(name, CONFIGS[0], scale)
         row: list = [name]
-        for label in CONFIG_LABELS:
-            result = simulate(name, SimulationConfig.for_prefetcher(label), scale)
+        for label, config in zip(CONFIG_LABELS, CONFIGS[1:]):
+            result = simulate(name, config, scale)
             improvement = result.improvement_over(base)
             series[label][name] = improvement
             storage[label] = result.prefetcher_storage_bytes

@@ -21,9 +21,11 @@ from repro.experiments.base import ExperimentResult, suite_order
 from repro.sim import SimulationConfig, simulate
 from repro.workloads import Scale
 
-__all__ = ["run"]
+__all__ = ["CONFIGS", "run"]
 
-_CONFIGS = ("tcp-8k", "tcp-8m")
+_LABELS = ("tcp-8k", "tcp-8m")
+#: the grid: every benchmark under each TCP.
+CONFIGS = tuple(SimulationConfig.for_prefetcher(label) for label in _LABELS)
 
 
 def run(
@@ -33,14 +35,14 @@ def run(
     names = suite_order(benchmarks)
     rows = []
     series: Dict[str, Dict[str, float]] = {}
-    for label in _CONFIGS:
+    for label in _LABELS:
         for category in ("prefetched_original", "non_prefetched_original", "prefetched_extra"):
             series[f"{label}:{category}"] = {}
 
     for name in names:
         row: list = [name]
-        for label in _CONFIGS:
-            result = simulate(name, SimulationConfig.for_prefetcher(label), scale)
+        for label, config in zip(_LABELS, CONFIGS):
+            result = simulate(name, config, scale)
             breakdown = result.memory.breakdown_vs_original()
             for category, value in breakdown.items():
                 series[f"{label}:{category}"][name] = value * 100.0
@@ -62,7 +64,7 @@ def run(
         "accesses pre-issued by the prefetcher).",
     ]
     headers = ["benchmark"]
-    for label in _CONFIGS:
+    for label in _LABELS:
         headers += [f"{label} orig-pf %", f"{label} orig-nopf %", f"{label} extra %"]
     return ExperimentResult(
         experiment="fig12",

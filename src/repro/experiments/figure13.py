@@ -15,15 +15,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.core import tcp_with_pht
 from repro.experiments.base import ExperimentResult, suite_order
 from repro.sim import SimulationConfig, simulate
-from repro.sim.config import register_prefetcher
 from repro.util.bitops import log2_exact
 from repro.util.stats import geometric_mean
 from repro.workloads import Scale
 
-__all__ = ["run", "SHARED_SIZES", "FULL_INDEX_SIZES", "INDEX_BITS"]
+__all__ = ["run", "CONFIGS", "SHARED_SIZES", "FULL_INDEX_SIZES", "INDEX_BITS"]
 
 KB = 1024
 #: PHT sizes for the shared (n = 0) curve.
@@ -34,13 +32,29 @@ FULL_INDEX_SIZES = (64 * KB, 256 * KB, 1024 * KB, 8192 * KB)
 INDEX_BITS = (0, 1, 2, 3)
 
 
+#: every design point in row order: (series, key, sweep, PHT bytes,
+#: miss-index bits); a full index spans the PHT's sets (8 ways x 4 B).
+POINTS = (
+    [("shared_pht_ipc", f"{s // KB}KB", "size sweep (shared)", s, 0)
+     for s in SHARED_SIZES]
+    + [
+        ("full_index_pht_ipc", f"{s // KB}KB", "size sweep (full index)", s,
+         min(10, log2_exact(s // 32)))
+        for s in FULL_INDEX_SIZES
+    ]
+    + [("index_bits_ipc", str(n), "index-bit sweep", 8 * KB, n) for n in INDEX_BITS]
+)
+
+
 def _sweep_config(pht_bytes: int, index_bits: int) -> SimulationConfig:
-    """Register and return a config for one (size, index-bits) point."""
-    name = f"tcp-sweep-{pht_bytes // KB}k-n{index_bits}"
-    register_prefetcher(
-        name, lambda b=pht_bytes, n=index_bits: tcp_with_pht(b, miss_index_bits=n)
-    )
-    return SimulationConfig(prefetcher=name)
+    """One design point, by a name any process resolves."""
+    return SimulationConfig(prefetcher=f"tcp-sweep-{pht_bytes // KB}k-n{index_bits}")
+
+
+#: the grid: every benchmark on the baseline and each distinct point.
+CONFIGS = (SimulationConfig.baseline(),) + tuple(
+    dict.fromkeys(_sweep_config(size, bits) for *_, size, bits in POINTS)
+)
 
 
 def _mean_ipc(config: SimulationConfig, names: Sequence[str], scale: Scale) -> float:
@@ -59,25 +73,13 @@ def run(
     }
     rows: List[List[object]] = []
 
-    base_ipc = _mean_ipc(SimulationConfig.baseline(), names, scale)
+    base_ipc = _mean_ipc(CONFIGS[0], names, scale)
     rows.append(["baseline", "-", base_ipc])
 
-    for size in SHARED_SIZES:
-        ipc = _mean_ipc(_sweep_config(size, 0), names, scale)
-        series["shared_pht_ipc"][f"{size // KB}KB"] = ipc
-        rows.append([f"PHT {size // KB}KB, n=0", "size sweep (shared)", ipc])
-
-    for size in FULL_INDEX_SIZES:
-        sets = size // (8 * 4)  # 8 ways x 4 bytes/entry
-        bits = min(10, log2_exact(sets))
+    for curve, key, sweep, size, bits in POINTS:
         ipc = _mean_ipc(_sweep_config(size, bits), names, scale)
-        series["full_index_pht_ipc"][f"{size // KB}KB"] = ipc
-        rows.append([f"PHT {size // KB}KB, n={bits}", "size sweep (full index)", ipc])
-
-    for bits in INDEX_BITS:
-        ipc = _mean_ipc(_sweep_config(8 * KB, bits), names, scale)
-        series["index_bits_ipc"][str(bits)] = ipc
-        rows.append([f"PHT 8KB, n={bits}", "index-bit sweep", ipc])
+        series[curve][key] = ipc
+        rows.append([f"PHT {size // KB}KB, n={bits}", sweep, ipc])
 
     shared = series["shared_pht_ipc"]
     gain_to_8k = (shared["8KB"] / shared["2KB"] - 1.0) * 100.0

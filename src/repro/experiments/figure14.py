@@ -17,7 +17,14 @@ from repro.sim import SimulationConfig, simulate
 from repro.util.stats import geometric_mean
 from repro.workloads import Scale
 
-__all__ = ["run"]
+__all__ = ["CONFIGS", "run"]
+
+#: the grid: every benchmark on the baseline, TCP-8K and Hybrid-8K.
+CONFIGS = (
+    SimulationConfig.baseline(),
+    SimulationConfig.for_prefetcher("tcp-8k"),
+    SimulationConfig.for_prefetcher("hybrid-8k"),
+)
 
 
 def run(
@@ -28,9 +35,7 @@ def run(
     series: Dict[str, Dict[str, float]] = {"tcp-8k": {}, "hybrid-8k": {}, "promotions": {}}
     rows = []
     for name in names:
-        base = simulate(name, SimulationConfig.baseline(), scale)
-        tcp = simulate(name, SimulationConfig.for_prefetcher("tcp-8k"), scale)
-        hybrid = simulate(name, SimulationConfig.for_prefetcher("hybrid-8k"), scale)
+        base, tcp, hybrid = (simulate(name, config, scale) for config in CONFIGS)
         tcp_gain = tcp.improvement_over(base)
         hybrid_gain = hybrid.improvement_over(base)
         series["tcp-8k"][name] = tcp_gain

@@ -21,20 +21,36 @@ by other cores, per core.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Union
+from typing import Dict, Sequence, Union
 
 from repro.experiments.base import ExperimentResult
 from repro.multicore import MixSpec, mix_config, resolve_mix
-from repro.sim import PREFETCHERS, SimulationConfig, simulate
+from repro.sim import SimulationConfig, simulate
 from repro.workloads import Scale
 
-__all__ = ["DEFAULT_MIX", "run"]
+__all__ = ["DEFAULT_MIX", "LABELS", "cells", "run"]
 
 DEFAULT_MIX = "mix2"
 
+#: the compared prefetchers: the standard registry, one row each.
+LABELS = (
+    "none", "nextline", "stride", "stream", "markov", "dbcp-2m", "tcp-8k",
+    "tcp-8m", "hybrid-8k", "tcp-stride", "tcp-multi2", "tcp-conf", "tcp-look2",
+)
+
 #: prefetcher highlighted in the attribution notes (the paper's
-#: realistic design point); falls back to the first column if absent.
+#: realistic design point).
 _SPOTLIGHT = "tcp-8k"
+
+
+def cells(mix: Union[str, Sequence[str], MixSpec, None] = None) -> list:
+    """The grid: each member solo and the whole mix, per prefetcher."""
+    spec = resolve_mix(mix if mix is not None else DEFAULT_MIX)
+    return [
+        (name, SimulationConfig.for_prefetcher(label))
+        for label in LABELS
+        for name in dict.fromkeys(spec.benchmarks)
+    ] + [(spec.canonical, mix_config(spec, prefetcher=label)) for label in LABELS]
 
 
 def _attribution_notes(mix_result, spec: MixSpec, label: str) -> list:
@@ -52,27 +68,15 @@ def _attribution_notes(mix_result, spec: MixSpec, label: str) -> list:
 
 def run(
     scale: Scale = Scale.STANDARD,
-    benchmarks: Optional[Sequence[str]] = None,
     mix: Union[str, Sequence[str], MixSpec, None] = None,
-    prefetchers: Optional[Sequence[str]] = None,
 ) -> ExperimentResult:
     """Contention comparison across prefetchers for one workload mix.
 
     ``mix`` accepts anything :func:`repro.multicore.resolve_mix` does
-    (a named mix, ``"a+b"``, or a benchmark sequence); ``benchmarks``
-    is accepted for registry uniformity but must stay ``None`` — the
-    mix fixes its own members.
+    (a named mix, ``"a+b"``, or a benchmark sequence); the mix fixes
+    its own members, so there is no benchmark list.
     """
-    if benchmarks is not None:
-        raise ValueError(
-            "figure_mix draws its benchmarks from the mix; pass --mix "
-            "instead of a benchmark list"
-        )
     spec = resolve_mix(mix if mix is not None else DEFAULT_MIX)
-    labels = tuple(prefetchers) if prefetchers is not None else tuple(PREFETCHERS)
-    unknown = [label for label in labels if label not in PREFETCHERS]
-    if unknown:
-        raise KeyError(f"unknown prefetchers: {unknown}")
 
     series: Dict[str, Dict[str, float]] = {
         "weighted_speedup": {},
@@ -80,7 +84,7 @@ def run(
     }
     rows = []
     spotlight_notes: list = []
-    for label in labels:
+    for label in LABELS:
         solos = {
             name: simulate(name, SimulationConfig.for_prefetcher(label), scale)
             for name in dict.fromkeys(spec.benchmarks)
@@ -102,7 +106,7 @@ def run(
             + [round(rel, 4) for rel in speedups]
             + [round(ws, 4), round(fairness, 4)]
         )
-        if label == _SPOTLIGHT or (_SPOTLIGHT not in labels and label == labels[0]):
+        if label == _SPOTLIGHT:
             spotlight_notes = _attribution_notes(result, spec, label)
 
     best = max(series["weighted_speedup"], key=series["weighted_speedup"].get)

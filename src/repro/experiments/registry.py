@@ -1,9 +1,8 @@
-"""Registry mapping paper labels to experiment runners."""
+"""Registry mapping paper labels to experiment runners and their cells."""
 
 from __future__ import annotations
 
-import inspect
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.experiments import (
     figure01,
@@ -21,10 +20,12 @@ from repro.experiments import (
     figure_mix,
     table01,
 )
-from repro.experiments.base import ExperimentResult
+from repro.experiments.base import ExperimentResult, suite_order
+from repro.sim import SimulationConfig
+from repro.sim.parallel import Cell
 from repro.workloads import Scale
 
-__all__ = ["EXPERIMENTS", "run_experiment"]
+__all__ = ["EXPERIMENTS", "GRIDS", "cells", "run_experiment"]
 
 Runner = Callable[..., ExperimentResult]
 
@@ -45,6 +46,34 @@ EXPERIMENTS: Dict[str, Runner] = {
     "mix": figure_mix.run,
 }
 
+#: the configurations each benchmark-crossing experiment simulates;
+#: ``mix`` declares its own cells and the rest simulate nothing.
+GRIDS: Dict[str, Sequence[SimulationConfig]] = {
+    "fig1": figure01.CONFIGS,
+    "fig11": figure11.CONFIGS,
+    "fig12": figure12.CONFIGS,
+    "fig13": figure13.CONFIGS,
+    "fig14": figure14.CONFIGS,
+}
+
+
+def cells(
+    names: Iterable[str],
+    benchmarks: Optional[Sequence[str]] = None,
+    mix: Optional[str] = None,
+) -> List[Cell]:
+    """The deduplicated (workload, config) cells experiments ``names``
+    read, given ``benchmarks`` and ``mix`` as :func:`run_experiment`
+    takes them."""
+    found: List[Cell] = []
+    for name in names:
+        if name == "mix":
+            found += figure_mix.cells(mix)
+        elif name in GRIDS:
+            benches = suite_order(benchmarks)
+            found += [(bench, config) for config in GRIDS[name] for bench in benches]
+    return list(dict.fromkeys(found))
+
 
 def run_experiment(
     name: str,
@@ -54,9 +83,9 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run one experiment by its paper label (e.g. ``"fig11"``).
 
-    ``mix`` selects the workload mix for experiments that take one
-    (currently ``"mix"``); passing it to an experiment that does not is
-    an error rather than a silent ignore.
+    ``benchmarks`` restricts the benchmark-crossing experiments and
+    ``mix`` picks the mix experiment's workload mix; each is ignored
+    elsewhere, so one pair describes a whole ``run all``.
     """
     try:
         runner = EXPERIMENTS[name]
@@ -64,10 +93,6 @@ def run_experiment(
         raise KeyError(
             f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}"
         ) from None
-    kwargs = {"scale": scale, "benchmarks": benchmarks}
-    takes_mix = "mix" in inspect.signature(runner).parameters
-    if takes_mix:
-        kwargs["mix"] = mix
-    elif mix is not None:
-        raise ValueError(f"experiment {name!r} does not take a --mix")
-    return runner(**kwargs)
+    if name == "mix":
+        return runner(scale=scale, mix=mix)
+    return runner(scale=scale, benchmarks=benchmarks)

@@ -1,8 +1,9 @@
 """Generate EXPERIMENTS.md: paper-vs-measured for every table/figure.
 
 ``generate_report`` runs the whole experiment registry at a chosen
-scale and renders a markdown document that, per experiment, contains
-the regenerated table and an explicit paper-vs-measured comparison of
+scale, as one campaign over every declared cell on all CPUs, and
+renders a markdown document that, per experiment, contains the
+regenerated table and an explicit paper-vs-measured comparison of
 the claims that experiment carries.  The committed EXPERIMENTS.md is
 the output of ``python -m repro.experiments.report --scale full``.
 """
@@ -11,11 +12,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from typing import Callable, Dict, List
 
 from repro.experiments.base import ExperimentResult
-from repro.experiments.registry import EXPERIMENTS, run_experiment
+from repro.experiments.registry import EXPERIMENTS, cells, run_experiment
+from repro.sim.parallel import prewarm_cells
 from repro.util.stats import geometric_mean
 from repro.workloads import Scale
 
@@ -237,6 +238,7 @@ def generate_report(scale: Scale = Scale.FULL, benchmarks=None) -> str:
     report always uses the full suite, since several claim checkers
     reference specific benchmarks).
     """
+    prewarm_cells(cells(EXPERIMENTS, benchmarks), scale, jobs=0).raise_if_failed()
     lines: List[str] = [
         "# EXPERIMENTS — paper vs. measured",
         "",
@@ -254,11 +256,7 @@ def generate_report(scale: Scale = Scale.FULL, benchmarks=None) -> str:
     reproduced = 0
     sections: List[str] = []
     for name in EXPERIMENTS:
-        started = time.time()
-        # the mix experiment draws its benchmarks from the mix spec
-        restrict = None if name == "mix" else benchmarks
-        result = run_experiment(name, scale=scale, benchmarks=restrict)
-        elapsed = time.time() - started
+        result = run_experiment(name, scale=scale, benchmarks=benchmarks)
         sections.append(f"## {name}: {result.title}\n")
         sections.append("```")
         sections.append(result.render())
@@ -272,8 +270,6 @@ def generate_report(scale: Scale = Scale.FULL, benchmarks=None) -> str:
                 total_claims += 1
                 reproduced += verdict == "reproduced"
                 sections.append(f"| {claim} | {paper} | {measured} | {verdict} |")
-        sections.append("")
-        sections.append(f"_(regenerated in {elapsed:.1f}s; results cached across sections)_")
         sections.append("")
     lines.append(
         f"**Scoreboard: {reproduced}/{total_claims} paper claims reproduced "

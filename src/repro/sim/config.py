@@ -10,10 +10,13 @@ sweep cache.
 the benches, and the examples: ``none``, ``tcp-8k``, ``tcp-8m``,
 ``dbcp-2m``, ``hybrid-8k``, ``stride``, ``stream``, ``markov``,
 ``nextline``, ``tcp-stride``, ``tcp-multi2``, ``tcp-conf``, ``tcp-look2``.
+Figure 13's design points are names too: ``tcp-sweep-<K>k-n<N>``
+resolves to a TCP with a K KiB PHT and N miss-index bits.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Optional, Tuple
 
@@ -25,6 +28,7 @@ from repro.core import (
     hybrid_8k,
     tcp_8k,
     tcp_8m,
+    tcp_with_pht,
 )
 from repro.cpu import CoreParams
 from repro.memory import HierarchyParams
@@ -59,23 +63,31 @@ PREFETCHERS: Dict[str, PrefetcherFactory] = {
 }
 
 
+_SWEEP_POINT = re.compile(r"tcp-sweep-(\d+)k-n(\d+)")
+
+
 def prefetcher_factory(name: str) -> PrefetcherFactory:
-    """Resolve a registry name to its factory (KeyError lists options)."""
-    try:
+    """Resolve a prefetcher name to its factory (KeyError lists options).
+
+    A ``tcp-sweep-<K>k-n<N>`` name is parsed, so a Figure 13 design
+    point resolves in any process: spawned workers and fleet agents too.
+    """
+    if name in PREFETCHERS:
         return PREFETCHERS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown prefetcher {name!r}; choose from {sorted(PREFETCHERS)}"
-        ) from None
+    point = _SWEEP_POINT.fullmatch(name)
+    if point is not None:
+        kib, bits = map(int, point.groups())
+        return lambda: tcp_with_pht(kib * 1024, miss_index_bits=bits)
+    raise KeyError(f"unknown prefetcher {name!r}; choose from {sorted(PREFETCHERS)}")
 
 
 def register_prefetcher(name: str, factory: PrefetcherFactory) -> str:
     """Add (or replace) a named prefetcher factory.
 
-    Experiments that sweep prefetcher parameters (e.g. the Figure 13
-    PHT sizes) register one factory per design point; the name keeps
-    :class:`SimulationConfig` hashable for the result cache.  Returns
-    the name for chaining.
+    Ablations and examples register one factory per design point; the
+    name keeps :class:`SimulationConfig` hashable for the result cache
+    but resolves only in this process and its fork children (not on
+    spawned workers or fleet agents).  Returns the name for chaining.
     """
     PREFETCHERS[name] = factory
     return name

@@ -47,9 +47,7 @@ Pieces:
 Remote caveats: ``SSHTransport`` assumes the repository is importable
 by ``REPRO_FABRIC_PYTHON`` (default ``python3``) on the remote host
 and that shard merging sees the store directory via a shared
-filesystem.  Only prefetchers in the standard registry resolve by name
-on a remote agent; dynamically registered factories (e.g. Figure 13
-sweep points) exist only in the coordinator process.
+filesystem.
 """
 
 from __future__ import annotations

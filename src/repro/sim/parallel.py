@@ -10,8 +10,9 @@ retries with backoff, crash isolation (one dead worker loses one
 attempt, not the pool) — and installs the results into this process's
 cache (:mod:`repro.sim.runner`) and, when one is active, the on-disk
 store (:mod:`repro.sim.store`); afterwards the experiments replay from
-cache at zero cost.  The CLI exposes it as ``repro-tcp run ... --jobs
-N --retries R --timeout S``.
+cache at zero cost.  ``repro-tcp run`` passes :func:`prewarm_cells`
+the cells its experiments declare; :func:`prewarm` crosses configs
+with benchmarks.
 
 Workers re-derive everything from the (workload name, config, scale)
 key — traces come from the on-disk trace cache (mmap-shared between
@@ -25,11 +26,12 @@ With more than one worker, campaigns run on the supervisor's warm
 pool with workload-affinity scheduling: pending jobs are grouped by
 benchmark, groups are ordered longest-expected-first, and a pool
 worker runs all configs of one benchmark against a single trace before
-moving on.  ``jobs=1`` runs them serially in this process.
+moving on.  ``jobs=1`` without a time limit runs them in this process.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import time
@@ -53,8 +55,9 @@ from repro.sim.runner import _RESULT_CACHE, simulate
 from repro.workloads import BENCHMARK_ORDER, SUITE, Scale, cache_trace
 from repro.workloads import io as trace_io
 
-__all__ = ["experiment_configs", "prewarm"]
+__all__ = ["experiment_configs", "prewarm", "prewarm_cells"]
 
+Cell = Tuple[str, SimulationConfig]
 Job = Tuple[str, SimulationConfig, int]
 
 #: buckets for per-job wall-clock histograms: 1 ms .. ~2.3 h.
@@ -66,17 +69,17 @@ def _job_key(job: Job) -> str:
     return f"{workload}/{config.resolved_label()}@{accesses}"
 
 
-def _run_job(job: Job) -> SimResult:
+def _run_job(job: Job, use_cache: bool = False) -> SimResult:
     """Worker entry point: run one simulation, return its result.
 
-    Runs uncached (``use_cache=False``): the parent — not the worker —
-    is responsible for installing the result into the cache and the
-    store.  The raw access count is passed straight through, so
-    campaigns at custom scales (any positive count, not just the three
-    ``Scale`` presets) work.
+    Runs uncached by default: the parent — not the worker — installs
+    the result into the cache and the store.  An in-process campaign
+    *is* the parent and runs cached, checkpointing each result as it
+    lands.  The raw access count is passed straight through, so
+    campaigns at custom scales (any positive count) work.
     """
     workload, config, accesses = job
-    return simulate(workload, config, accesses, use_cache=False)
+    return simulate(workload, config, accesses, use_cache=use_cache)
 
 
 def _expected_cost(name: str, njobs: int) -> float:
@@ -117,11 +120,11 @@ def _silence_worker_store() -> None:
 
 
 def experiment_configs() -> List[SimulationConfig]:
-    """The configurations the main experiments (fig 1/11/12/14) need.
+    """The six standing configurations of Figs. 1, 11, 12 and 14.
 
-    Figure 13's sweep points are registered dynamically and excluded
-    here; prewarming the seven standing configurations already covers
-    the bulk of a full regeneration.
+    :func:`prewarm`'s default grid.  The experiments declare their own
+    cells (Fig. 13's sweep points included) in
+    :mod:`repro.experiments.registry`.
     """
     return [
         SimulationConfig.baseline(),
@@ -148,16 +151,47 @@ def prewarm(
 ) -> CampaignReport:
     """Fill the result cache for ``configs`` x ``benchmarks`` in parallel.
 
+    Defaults: :func:`experiment_configs` over the whole suite.  A mix
+    config is one cell named "a+b+c", never crossed with ``benchmarks``.
+    The rest is :func:`prewarm_cells`.
+    """
+    names = tuple(benchmarks) if benchmarks is not None else BENCHMARK_ORDER
+    cells = [
+        (name, config)
+        for config in (configs if configs is not None else experiment_configs())
+        for name in (["+".join(config.mix)] if config.mix is not None else names)
+    ]
+    return prewarm_cells(
+        cells, scale, jobs, retries, timeout, stall_timeout,
+        progress, trace_cache, hosts, max_failures,
+    )
+
+
+def prewarm_cells(
+    cells: Iterable[Cell],
+    scale: Union[Scale, int] = Scale.STANDARD,
+    jobs: int = 0,
+    retries: int = 2,
+    timeout: Optional[float] = None,
+    stall_timeout: Optional[float] = None,
+    progress: Optional[Callable[[int, int, str, str], None]] = None,
+    trace_cache: Union[None, bool, str] = None,
+    hosts: Union[None, str, Sequence] = None,
+    max_failures: Optional[int] = None,
+) -> CampaignReport:
+    """Fill the result cache for ``cells``, distinct (workload, config) pairs.
+
     ``scale`` is a :class:`~repro.workloads.Scale` preset or a raw
-    positive access count.  ``jobs``: pool workers (0 = cpu count;
-    1 = in-process, which keeps the function usable where
-    multiprocessing is unavailable).  Each job gets up to ``retries``
-    extra attempts and, with ``timeout``, a per-attempt wall-clock
-    budget in seconds.  ``stall_timeout`` arms the heartbeat watchdog
-    instead: an attempt is killed only when it emits no progress
-    heartbeat for that many seconds, so a slow-but-progressing job is
-    never lost to a wall-clock guess.  Both limits need a worker
-    process to kill, so ``jobs=1`` enforces neither.
+    positive access count.  ``jobs``: pool workers (0 = cpu count).
+    Each job gets up to ``retries`` extra attempts and, with
+    ``timeout``, a per-attempt wall-clock budget in seconds.
+    ``stall_timeout`` arms the heartbeat watchdog instead: an attempt
+    is killed only when it emits no progress heartbeat for that many
+    seconds, so a slow-but-progressing job is never lost to a
+    wall-clock guess.  ``jobs=1`` runs the cells serially in this
+    process, each checkpointed as it lands, unless one of those limits
+    needs a worker to kill or ``hosts`` is set: then one worker slot
+    runs them.
 
     ``trace_cache`` controls the on-disk trace cache: ``None`` honours
     ``REPRO_TRACE_CACHE`` and defaults to a directory next to the
@@ -165,7 +199,7 @@ def prewarm(
     When enabled, the parent writes each pending benchmark's trace once
     before workers start, so fork-mode children share the generated
     pages and spawn-mode children mmap the same archive instead of
-    regenerating.
+    regenerating.  An in-process campaign does without it.
 
     Returns a :class:`~repro.sim.resilience.CampaignReport`:
     ``report.executed`` counts *successful* simulations, failed jobs
@@ -194,8 +228,6 @@ def prewarm(
     SIGTERM/SIGINT similarly stop the campaign at the next job boundary
     with ``report.interrupted`` set, after checkpointing what finished.
     """
-    config_list = list(configs) if configs is not None else experiment_configs()
-    names = tuple(benchmarks) if benchmarks is not None else BENCHMARK_ORDER
     accesses = scale.accesses if isinstance(scale, Scale) else int(scale)
     if accesses <= 0:
         raise ValueError(f"scale must be positive, got {accesses}")
@@ -214,26 +246,18 @@ def prewarm(
 
     report = CampaignReport()
     pending: List[Job] = []
-    for config in config_list:
-        if config.mix is not None:
-            # A mix configuration is a single campaign cell keyed by its
-            # canonical name ("a+b+c"), never crossed with the benchmark
-            # list (its member streams are fixed by the config itself).
-            cell_names = ["+".join(config.mix)]
-        else:
-            cell_names = names
-        for name in cell_names:
-            key = (name, accesses, config)
-            if key in _RESULT_CACHE:
+    for name, config in cells:
+        key = (name, accesses, config)
+        if key in _RESULT_CACHE:
+            report.skipped += 1
+            continue
+        if store is not None:
+            stored = store.get(name, accesses, config)
+            if stored is not None:
+                _RESULT_CACHE[key] = stored
                 report.skipped += 1
                 continue
-            if store is not None:
-                stored = store.get(name, accesses, config)
-                if stored is not None:
-                    _RESULT_CACHE[key] = stored
-                    report.skipped += 1
-                    continue
-            pending.append((name, config, accesses))
+        pending.append((name, config, accesses))
     if not pending:
         if store is not None:
             report.store_health = store.health()
@@ -266,7 +290,10 @@ def prewarm(
         stall_timeout=stall_timeout,
         max_failures=max_failures,
     )
-    cache_root = trace_io.resolve_trace_cache(trace_cache)
+    # One job slot, no time limit needing a worker to kill, no fleet: run
+    # in this process, which has no other process to share traces with.
+    in_process = not host_specs and (jobs, timeout, stall_timeout) == (1, None, None)
+    cache_root = None if in_process else trace_io.resolve_trace_cache(trace_cache)
 
     # Campaign observability (REPRO_OBS): one registry aggregates the
     # parent's counters and every worker's forwarded snapshot; one
@@ -365,7 +392,7 @@ def prewarm(
 
             return run_supervised(
                 batch,
-                _run_job,
+                functools.partial(_run_job, use_cache=True) if in_process else _run_job,
                 workers=jobs,
                 policy=policy,
                 key=_job_key,
@@ -373,7 +400,7 @@ def prewarm(
                 progress=local_progress,
                 heartbeat=heartbeat,
                 child_setup=_silence_worker_store,
-                in_process=True if jobs == 1 else None,
+                in_process=in_process,
                 group=lambda job: job[0],
                 span=span_cb,
             )
@@ -404,7 +431,7 @@ def prewarm(
             for job_key, result in report.completed.items():
                 workload, config, n_accesses = by_key[job_key]
                 _RESULT_CACHE[(workload, n_accesses, config)] = result
-                if store is not None:
+                if store is not None and not in_process:
                     store.put(workload, n_accesses, config, result)
         if store is not None and host_specs:
             # Fold the fleet's host shards into the main log (deduped by

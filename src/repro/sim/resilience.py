@@ -1105,7 +1105,7 @@ def run_supervised(
     progress: Optional[Callable[[int, int, str, str], None]] = None,
     heartbeat: Optional[Callable[[str, int, int, float], None]] = None,
     child_setup: Optional[Callable[[], None]] = None,
-    in_process: Optional[bool] = None,
+    in_process: bool = False,
     group: Optional[Callable[[Any], str]] = None,
     span: Optional[Callable[[Dict[str, Any]], None]] = None,
 ) -> CampaignReport:
@@ -1147,8 +1147,7 @@ def run_supervised(
     writes).  ``progress`` is called as ``(done, total, key, status)``
     after each job settles.  ``in_process=True`` runs the jobs serially
     in this process (:func:`_run_in_process`, which enforces neither
-    timeout); by default that happens only when no start method works,
-    and ``in_process=False`` raises there instead.
+    timeout); otherwise that happens only when no start method works.
 
     ``span`` (if given) receives every observability span event the
     workers forward over their result pipes (:mod:`repro.obs.spans`
@@ -1168,8 +1167,6 @@ def run_supervised(
 
     context = None if in_process else supervision_context()
     if context is None:
-        if in_process is False:
-            raise SimulationError("multiprocessing unavailable and in_process=False")
         return _run_in_process(jobs, run_one, key, policy, validate, progress, heartbeat)
 
     workers = min(default_workers(workers), len(jobs))

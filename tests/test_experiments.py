@@ -5,6 +5,7 @@ import pytest
 from repro.experiments import EXPERIMENTS, ExperimentResult, run_experiment
 from repro.experiments.base import suite_order
 from repro.experiments.cli import main
+from repro.sim.runner import clear_cache
 from repro.workloads import BENCHMARK_ORDER, Scale
 
 SUBSET = ("fma3d", "art", "mcf")
@@ -80,6 +81,16 @@ class TestExperimentRuns:
         result = run_experiment("fig14", Scale.QUICK, SUBSET)
         assert set(result.series["hybrid-8k"]) == set(SUBSET)
 
+    def test_fig13_leaves_the_mix_rows_alone(self):
+        """Fig. 13's design points are names, not registrations: running
+        it changes neither the registry nor the mix experiment's rows."""
+        from repro.sim import PREFETCHERS
+
+        before = dict(PREFETCHERS)
+        run_experiment("fig13", 2000, ["fma3d"])
+        assert PREFETCHERS == before
+        assert len(run_experiment("mix", 2000, mix="fma3d").rows) == 13
+
 
 class TestCLI:
     def test_list(self, capsys):
@@ -108,24 +119,80 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["run", "fig2", "--scale", "enormous"])
 
-    @pytest.mark.parametrize("flag,value", [
-        ("--retries", "0"),
-        ("--timeout", "0.01"),
-        ("--stall-timeout", "5"),
-        ("--max-failures", "1"),
-    ])
-    def test_single_job_run_rejects_campaign_flags(
-        self, flag, value, capsys, monkeypatch
+    @pytest.mark.parametrize("flag,value,fault,expect", [
+        ("--timeout", "0.01", None, "JobTimeout"),
+        ("--stall-timeout", "0.5", "stall", "StallTimeout"),
+        ("--retries", "0", "error", "after 1 attempt(s)"),
+        ("--max-failures", "1", "error", "campaign aborted"),
+    ], ids=["--timeout", "--stall-timeout", "--retries", "--max-failures"])
+    def test_single_job_run_honours_campaign_flags(
+        self, flag, value, fault, expect, capsys, monkeypatch
     ):
-        """``--jobs 1`` runs in-process, where these flags would be
-        silently ignored: the run is refused before simulating."""
+        """``--jobs 1`` is a campaign like any other: every failure flag
+        takes effect there, and fig1 is not rendered from failed cells."""
         monkeypatch.delenv("REPRO_HOSTS", raising=False)
-        code = main(["run", "fig11", "--scale", "quick",
-                     "--benchmarks", "fma3d", "--no-store", flag, value])
-        assert code == 2
+        if fault is not None:
+            monkeypatch.setenv("REPRO_FAULT_KIND", fault)
+            monkeypatch.setenv("REPRO_FAULT_RATE", "1.0")
+        retries = [] if flag == "--retries" else ["--retries", "0"]
+        clear_cache()
+        code = main(["run", "fig1", "--scale", "quick", "--benchmarks", "fma3d",
+                     "--jobs", "1", "--no-store", flag, value] + retries)
+        assert code == 1
         captured = capsys.readouterr()
-        assert flag in captured.err
-        assert "[fig11]" not in captured.out
+        assert expect in captured.err
+        assert "[fig1]" not in captured.out
+
+    def test_run_campaigns_only_the_experiments_cells(self, capsys):
+        clear_cache()
+        code = main(["run", "fig11", "--scale", "quick", "--benchmarks",
+                     "fma3d", "eon", "--jobs", "2", "--no-store"])
+        assert code == 0
+        # base, tcp-8k, tcp-8m, dbcp-2m x 2: no ideal-L2 or hybrid cells
+        assert "pre-warmed 8 simulation(s)" in capsys.readouterr().out
+
+    def test_failed_cells_keep_their_experiment_unrendered(self, capsys):
+        clear_cache()
+        code = main(["run", "fig1", "--scale", "quick", "--benchmarks",
+                     "fma3d", "swim", "--jobs", "2", "--timeout", "0.01",
+                     "--retries", "0", "--no-store"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "[fig1]" not in captured.out
+        assert "experiment fig1 not rendered" in captured.err
+
+    def test_single_job_run_writes_no_trace_archive(self, tmp_path, monkeypatch):
+        """An in-process campaign has no other process to share traces with."""
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_TRACE_CACHE", raising=False)
+        clear_cache()
+        code = main(["run", "fig1", "--scale", "quick", "--benchmarks",
+                     "fma3d", "--jobs", "1", "--no-store"])
+        assert code == 0
+        assert list(tmp_path.rglob("*")) == []
+
+    def test_run_all_simulates_each_cell_once(self, capsys, monkeypatch):
+        """One campaign runs every distinct cell; rendering runs none."""
+        from repro.experiments.registry import cells
+        from repro.multicore import runner as mix_runner
+        from repro.sim import runner
+
+        rendered = []
+        real_execute, real_mix = runner._execute, mix_runner.execute_mix
+        monkeypatch.setattr(
+            runner, "_execute", lambda *a: rendered.append(a) or real_execute(*a)
+        )
+        monkeypatch.setattr(
+            mix_runner, "execute_mix", lambda *a: rendered.append(a) or real_mix(*a)
+        )
+        clear_cache()
+        code = main(["run", "all", "--scale", "quick", "--benchmarks", "fma3d",
+                     "--mix", "fma3d+eon", "--jobs", "2", "--no-store"])
+        assert code == 0
+        expected = len(cells(EXPERIMENTS, ["fma3d"], "fma3d+eon"))
+        assert f"pre-warmed {expected} simulation(s)" in capsys.readouterr().out
+        # pool workers run the campaign; only rendering runs in this process
+        assert rendered == []
 
     def test_bench_is_not_a_command(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -314,6 +314,18 @@ class TestFleetCampaigns:
         assert report.ok and report.executed == 2
         assert report.hosts_lost == 0  # slow is not dead
 
+    def test_fig13_sweep_cell_runs_on_a_fleet(self, tmp_path):
+        """A Figure 13 design point resolves by name on a fleet agent."""
+        config = SimulationConfig(prefetcher="tcp-sweep-32k-n0")
+        expected = simulate("swim", config, QUICK, use_cache=False)
+        with store_mod.use_store(ResultStore(tmp_path)):
+            report = prewarm(
+                [config], scale=QUICK, benchmarks=["swim"], jobs=1, hosts="local:1",
+            )
+        assert report.ok and report.fleet_degraded is None
+        assert sum(report.per_host.values()) == 1
+        assert list(report.completed.values()) == [expected]
+
     def test_run_fleet_without_fallback_fails_leftovers(self):
         report = run_fleet(
             [("swim", BASE, QUICK)],

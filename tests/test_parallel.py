@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.experiments import EXPERIMENTS, run_experiment
 from repro.sim import SimulationConfig, experiment_configs, prewarm, simulate
+from repro.sim.parallel import prewarm_cells
 from repro.sim.resilience import default_workers, supervision_context
 from repro.sim.runner import _RESULT_CACHE, clear_cache
 from repro.workloads import Scale
@@ -47,16 +49,23 @@ class TestPrewarm:
         }
         assert parallel_ipc == serial_ipc
 
-    def test_experiments_consume_prewarmed_results(self):
-        from repro.experiments import run_experiment
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_experiments_consume_prewarmed_results(self, name, monkeypatch):
+        """After a campaign over an experiment's declared cells, rendering
+        it never reaches the runner's execute path."""
+        from repro.experiments.registry import cells
+        from repro.multicore import runner as mix_runner
+        from repro.sim import runner
 
         clear_cache()
-        prewarm(
-            [SimulationConfig.baseline(), SimulationConfig.ideal_l2()],
-            Scale.QUICK, BENCHES, jobs=2,
-        )
-        result = run_experiment("fig1", Scale.QUICK, BENCHES)
-        assert len(result.rows) == 2
+        assert prewarm_cells(cells([name], BENCHES, "fma3d+eon"), Scale.QUICK, jobs=2).ok
+
+        def refuse(*args):
+            raise AssertionError(f"{name} simulated outside its campaign")
+
+        monkeypatch.setattr(runner, "_execute", refuse)
+        monkeypatch.setattr(mix_runner, "execute_mix", refuse)
+        run_experiment(name, Scale.QUICK, BENCHES, mix="fma3d+eon")
 
     def test_success_count_excludes_failures(self, monkeypatch):
         """The report never counts a failed job as executed."""
