@@ -18,7 +18,7 @@ from repro.sim.config import SimulationConfig
 from repro.workloads import Scale, generate
 
 WORKLOADS = ("swim", "mcf", "gcc")
-PREFETCHERS = ("none", "nextline", "tcp-8k")
+PREFETCHERS = ("none", "nextline", "tcp-8k", "dbcp-2m")
 REPEATS = 3
 
 

@@ -7,13 +7,15 @@ range.  Whenever that loop cannot run, the backend falls back to the
 reference interpreted loop (:class:`repro.cpu.OutOfOrderCore`):
 
 * for configurations the C loop does not model: a set-associative L1D,
-  prefetchers that observe the access stream (DBCP), gated L1
+  prefetchers other than DBCP that observe the access stream, gated L1
   promotions (the hybrid), a direct-mapped L2;
 * when the ``_native`` extension cannot be imported or built (no C
   compiler, ``REPRO_NATIVE=0``, a failed compile), so a pure-Python
   install keeps working everywhere.
 
-Every fallback warns once per process and records the reason in
+The null prefetcher, the TCP (truncated-add PHT) and DBCP train
+inside the C loop; any other prefetcher's miss and eviction hooks are
+called back from it.  Every fallback warns once per process and records the reason in
 ``last_engine_stats["fallback"]``, which the runner copies into
 ``SimResult.backend_fallback``.  Either way results are bit-identical
 to the python backend; fallbacks only cost speed, never correctness.
@@ -26,7 +28,7 @@ from typing import Optional, Sequence, Set
 
 from repro.backend.base import Backend
 from repro.backend.native import build
-from repro.backend.native.engine import NativeCore
+from repro.backend.native.engine import NativeCore, dbcp_fast
 from repro.cpu.core import CoreParams, CoreResult, OutOfOrderCore
 from repro.engine.probes import Probe
 from repro.memory.hierarchy import MemoryHierarchy
@@ -42,7 +44,7 @@ def _fallback_reason(hierarchy: MemoryHierarchy) -> Optional[str]:
     """Why this run cannot take the C loop (None = it can)."""
     if hierarchy._l1_lines is None:
         return "set-associative L1D"
-    if hierarchy._needs_access:
+    if hierarchy._needs_access and not dbcp_fast(hierarchy.prefetcher):
         return "prefetcher observes the access stream"
     if hierarchy._promotions_enabled:
         return "gated L1 promotions"

@@ -6,15 +6,15 @@
  * address dependences), the direct-mapped L1D probe, and the flattened
  * demand-miss path of repro/memory/hierarchy.py (lazy-deletion MSHR
  * heap, L1/L2 buses, L2 set probe/fill/LRU, DRAM, prefetch issue, TCP
- * training).  The Python driver (repro/backend/native/engine.py) hands
+ * and DBCP training).  The Python driver (repro/backend/native/engine.py) hands
  * it one range per span between probe marks and the warmup point.
  *
  * The design constraint is strict bit-identity with the python
  * reference loop, so the Engine keeps no private copy of the large
  * simulator state: it operates on the *live* Python containers (the
  * MSHR in-flight dict, the L2 and PHT per-set LRU dicts, the THT
- * history rows, DRAM's completion list, the prefetch queue) through the
- * CPython C API.  It owns only flat arrays: the read-only trace planes
+ * history rows, DBCP's signature dict and correlation table, DRAM's
+ * completion list, the prefetch queue) through the CPython C API.  It owns only flat arrays: the read-only trace planes
  * (borrowed numpy buffers), the completion/commit timelines, the L1D as
  * four per-set planes, the THT running sums, and mirrored component
  * scalars (bus clocks, counters).  sync_out writes the mirrors and the
@@ -28,9 +28,13 @@
  *
  * The paths that must run interpreted call back into Python: the L1I
  * (a lookup at every fetch-block change, the full fetch on a miss),
- * generic prefetcher training, and L1 eviction events.  The TCP (truncated-add PHT) and the null
- * prefetcher are trained in C, so a baseline or TCP run never
- * re-enters the interpreter on the data-miss path.
+ * generic prefetcher training, and L1 eviction events.  The TCP
+ * (truncated-add PHT), DBCP and the null prefetcher are trained in C,
+ * so a baseline, TCP or DBCP run never re-enters the interpreter on
+ * the data path.  DBCP's three hooks (signature accumulation and table
+ * probe on every access, the death signature on each fill eviction,
+ * learning on each primary miss) work on its live signature dict and
+ * sparse correlation table.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -87,6 +91,10 @@ typedef struct {
     PyObject *ab, *db, *mab, *mdb; /* buses */
     PyObject *mshr, *memory, *hierarchy;
     PyObject *ifetch_cb, *observe_cb, *evict_cb;
+    /* DBCP (dbcp_fast): the prefetcher, its block -> running-signature
+     * dict, its sparse set index -> LRUSet table, and the LRUSet class
+     * that builds a set on its first write */
+    PyObject *dbcp, *dbcp_live, *dbcp_table, *lruset;
 
     /* ---- machine scalars ---- */
     long long window;
@@ -99,7 +107,11 @@ typedef struct {
     long long pf_delay;
     double pf_busy_thr;
     int lru_pf, ideal_l2, model_icache, tcp_fast, null_fast, has_prefetcher,
-        needs_evict;
+        needs_evict, dbcp_fast;
+    int l1_ib, dbcp_set_bits;
+    long long dbcp_sig_mask, dbcp_set_mask;
+    Py_ssize_t dbcp_ways;
+    long long dbcp_pending; /* pending death signature, -1 = None */
 
     /* ---- mirrored component scalars (synced at boundaries) ---- */
     double a_nf, a_by, a_qc;
@@ -128,7 +140,7 @@ typedef struct {
 /* interned attribute names (module-lifetime) */
 static PyObject *s_entries, *s_next_free, *s_busy_cycles, *s_queued_cycles,
     *s_transfers, *s_earliest, *s_full_stalls, *s_merges, *s_peak_occupancy,
-    *s_completions_attr, *s_accesses, *s_pf_inflight_attr;
+    *s_completions_attr, *s_accesses, *s_pf_inflight_attr, *s_pending_attr;
 
 /* ================= small helpers ================= */
 
@@ -857,6 +869,167 @@ done:
 static int tcp_train(EngineObject *e, long long s, long long tag,
                      long long block, double v);
 
+/* ================= DBCP ================= */
+
+/* DeadBlockCorrelatingPrefetcher.observe_access for access i at v: a
+ * hit extends the block's running signature, a miss restarts it from
+ * block + pc; the new signature is recorded, probed in the table (LRU
+ * promote on a match), and a successor other than the block itself is
+ * prefetched at v + pf_delay.  `blocko` is the block as a Python int. */
+static int
+dbcp_access(EngineObject *e, Py_ssize_t i, PyObject *blocko, int hit,
+            double v)
+{
+    unsigned long long base = (unsigned long long)e->blocks[i];
+    if (hit) {
+        PyObject *old = PyDict_GetItemWithError(e->dbcp_live, blocko);
+        if (old != NULL) {
+            long long ov = PyLong_AsLongLong(old);
+            if (ov == -1 && PyErr_Occurred())
+                return -1;
+            base = (unsigned long long)ov;
+        }
+        else if (PyErr_Occurred())
+            return -1;
+    }
+    /* python ints do not wrap; the low signature bits of a 64-bit
+     * unsigned sum are the same */
+    long long sig = (long long)((base + e->pcs[i]) &
+                                (unsigned long long)e->dbcp_sig_mask);
+    PyObject *sigo = PyLong_FromLongLong(sig);
+    if (sigo == NULL)
+        return -1;
+    int r = PyDict_SetItem(e->dbcp_live, blocko, sigo);
+    Py_DECREF(sigo);
+    if (r < 0)
+        return -1;
+    /* _probe: table.get(set) then LRUSet.get(key) */
+    PyObject *seto = PyLong_FromLongLong(sig & e->dbcp_set_mask);
+    if (seto == NULL)
+        return -1;
+    PyObject *lru = PyDict_GetItemWithError(e->dbcp_table, seto);
+    Py_DECREF(seto);
+    if (lru == NULL)
+        return PyErr_Occurred() ? -1 : 0;
+    PyObject *entries = PyObject_GetAttr(lru, s_entries);
+    if (entries == NULL)
+        return -1;
+    PyObject *keyo = PyLong_FromLongLong(sig >> e->dbcp_set_bits);
+    if (keyo == NULL) {
+        Py_DECREF(entries);
+        return -1;
+    }
+    int rc = -1;
+    PyObject *succ = PyDict_GetItemWithError(entries, keyo);
+    if (succ == NULL) {
+        if (!PyErr_Occurred())
+            rc = 0;
+        goto done;
+    }
+    long long sb = PyLong_AsLongLong(succ);
+    if (sb == -1 && PyErr_Occurred())
+        goto done;
+    Py_INCREF(succ);
+    r = PyDict_DelItem(entries, keyo) < 0 ||
+        PyDict_SetItem(entries, keyo, succ) < 0;
+    Py_DECREF(succ);
+    if (r)
+        goto done;
+    if (sb == e->blocks[i]) {
+        rc = 0;
+        goto done;
+    }
+    e->pfp++; /* dead_predictions and stats.predictions */
+    rc = issue_pf_c(e, sb, v + (double)e->pf_delay);
+done:
+    Py_DECREF(keyo);
+    Py_DECREF(entries);
+    return rc;
+}
+
+/* DeadBlockCorrelatingPrefetcher.observe_eviction: the victim's
+ * signature, if it has one, becomes the pending death signature. */
+static int
+dbcp_evict(EngineObject *e, long long vblock)
+{
+    PyObject *bo = PyLong_FromLongLong(vblock);
+    if (bo == NULL)
+        return -1;
+    int rc = -1;
+    PyObject *sigo = PyDict_GetItemWithError(e->dbcp_live, bo);
+    if (sigo == NULL) {
+        if (!PyErr_Occurred())
+            rc = 0;
+        goto done;
+    }
+    long long sig = PyLong_AsLongLong(sigo);
+    if ((sig == -1 && PyErr_Occurred()) || PyDict_DelItem(e->dbcp_live, bo) < 0)
+        goto done;
+    e->dbcp_pending = sig;
+    rc = 0;
+done:
+    Py_DECREF(bo);
+    return rc;
+}
+
+/* DeadBlockCorrelatingPrefetcher.observe_miss: learn pending death
+ * signature -> block in its table set, building the set on first use
+ * (LRUSet.put: refresh a known key, else evict the LRU key when full). */
+static int
+dbcp_learn(EngineObject *e, long long block)
+{
+    e->pfl++;
+    if (e->dbcp_pending < 0)
+        return 0;
+    long long sig = e->dbcp_pending;
+    e->dbcp_pending = -1;
+    e->pfu++;
+    PyObject *seto = PyLong_FromLongLong(sig & e->dbcp_set_mask);
+    if (seto == NULL)
+        return -1;
+    PyObject *keyo = NULL, *valo = NULL, *entries = NULL;
+    int rc = -1;
+    PyObject *lru = PyDict_GetItemWithError(e->dbcp_table, seto);
+    if (lru == NULL) {
+        if (PyErr_Occurred())
+            goto done;
+        lru = PyObject_CallFunction(e->lruset, "n", e->dbcp_ways);
+        if (lru == NULL)
+            goto done;
+        int r = PyDict_SetItem(e->dbcp_table, seto, lru);
+        Py_DECREF(lru); /* the table holds it */
+        if (r < 0)
+            goto done;
+    }
+    entries = PyObject_GetAttr(lru, s_entries);
+    keyo = PyLong_FromLongLong(sig >> e->dbcp_set_bits);
+    valo = PyLong_FromLongLong(block);
+    if (entries == NULL || keyo == NULL || valo == NULL)
+        goto done;
+    int known = PyDict_Contains(entries, keyo);
+    if (known < 0)
+        goto done;
+    if (known) {
+        if (PyDict_DelItem(entries, keyo) < 0)
+            goto done;
+    }
+    else if (PyDict_GET_SIZE(entries) >= e->dbcp_ways) {
+        PyObject *fk = dict_first_key(entries);
+        Py_INCREF(fk);
+        int r = PyDict_DelItem(entries, fk);
+        Py_DECREF(fk);
+        if (r < 0)
+            goto done;
+    }
+    rc = PyDict_SetItem(entries, keyo, valo);
+done:
+    Py_XDECREF(valo);
+    Py_XDECREF(keyo);
+    Py_XDECREF(entries);
+    Py_DECREF(seto);
+    return rc;
+}
+
 /* ================= the demand-miss path ================= */
 
 /* MSHRFile.acquire: the earliest time a new miss may allocate an
@@ -987,6 +1160,8 @@ train(EngineObject *e, Py_ssize_t i, long long s, long long tag,
 {
     if (e->tcp_fast)
         return tcp_train(e, s, tag, block, v);
+    if (e->dbcp_fast)
+        return dbcp_learn(e, block);
     if (e->null_fast) {
         e->pfl++; /* NullPrefetcher.observe_miss */
         return 0;
@@ -1026,6 +1201,10 @@ demand_miss(EngineObject *e, Py_ssize_t i, long long s, long long tag,
     PyObject *blocko = PyLong_FromLongLong(block);
     if (blocko == NULL)
         return -1.0;
+    /* the access stream sees the miss before the MSHR lookup, so a
+     * merged miss restarts the block's signature too */
+    if (e->dbcp_fast && dbcp_access(e, i, blocko, 0, v) < 0)
+        goto done;
     PyObject *merged = PyDict_GetItemWithError(e->msh_inf, blocko);
     if (merged == NULL && PyErr_Occurred())
         goto done;
@@ -1103,7 +1282,11 @@ demand_miss(EngineObject *e, Py_ssize_t i, long long s, long long tag,
                 e->d_qc += st_ - fill;
                 e->d_tr += 1;
             }
-            if (e->needs_evict) {
+            if (e->dbcp_fast) {
+                if (dbcp_evict(e, (vt << e->l1_ib) | s) < 0)
+                    goto done;
+            }
+            else if (e->needs_evict) {
                 PyObject *res = PyObject_CallFunction(
                     e->evict_cb, "LLddd", s, vt, fill, old_ft, old_la);
                 if (res == NULL)
@@ -1235,6 +1418,13 @@ Engine_step(EngineObject *e, PyObject *args)
             else {
                 e->l1dirty[s] = 1;
                 comp = v + 1.0;
+            }
+            if (e->dbcp_fast) {
+                PyObject *blocko = PyLong_FromLongLong(e->blocks[i]);
+                int r = blocko == NULL ? -1 : dbcp_access(e, i, blocko, 1, v);
+                Py_XDECREF(blocko);
+                if (r < 0)
+                    return NULL;
             }
         }
         else {
@@ -1430,10 +1620,39 @@ fail:
 
 /* ================= methods ================= */
 
+/* DBCP's pending death signature: C owns it between marks. */
+static int
+dbcp_pending_out(EngineObject *e)
+{
+    if (e->dbcp_pending < 0)
+        return PyObject_SetAttr(e->dbcp, s_pending_attr, Py_None);
+    return set_attr_ll(e->dbcp, s_pending_attr, e->dbcp_pending);
+}
+
+static int
+dbcp_pending_in(EngineObject *e)
+{
+    PyObject *v = PyObject_GetAttr(e->dbcp, s_pending_attr);
+    if (v == NULL)
+        return -1;
+    long long sig = -1;
+    if (v != Py_None) {
+        sig = PyLong_AsLongLong(v);
+        if (sig == -1 && PyErr_Occurred()) {
+            Py_DECREF(v);
+            return -1;
+        }
+    }
+    Py_DECREF(v);
+    e->dbcp_pending = sig;
+    return 0;
+}
+
 static PyObject *
 Engine_sync_out(EngineObject *e, PyObject *Py_UNUSED(ignored))
 {
-    if (sync_out_internal(e) < 0 || l1_sync_out(e) < 0)
+    if (sync_out_internal(e) < 0 || l1_sync_out(e) < 0 ||
+        (e->dbcp_fast && dbcp_pending_out(e) < 0))
         return NULL;
     Py_RETURN_NONE;
 }
@@ -1444,6 +1663,8 @@ Engine_sync_in(EngineObject *e, PyObject *Py_UNUSED(ignored))
     if (sync_in_internal(e) < 0)
         return NULL;
     if (e->tcp_fast && thtsum_reload(e) < 0)
+        return NULL;
+    if (e->dbcp_fast && dbcp_pending_in(e) < 0)
         return NULL;
     Py_RETURN_NONE;
 }
@@ -1652,6 +1873,10 @@ Engine_init(EngineObject *e, PyObject *args, PyObject *kwds)
         get_obj(spec, "mshr", &e->mshr, 0) < 0 ||
         get_obj(spec, "memory", &e->memory, 0) < 0 ||
         get_obj(spec, "hierarchy", &e->hierarchy, 0) < 0 ||
+        get_obj(spec, "dbcp", &e->dbcp, 1) < 0 ||
+        get_obj(spec, "dbcp_live", &e->dbcp_live, 1) < 0 ||
+        get_obj(spec, "dbcp_table", &e->dbcp_table, 1) < 0 ||
+        get_obj(spec, "lruset", &e->lruset, 1) < 0 ||
         layout_init(e->cacheline, &e->lay) < 0)
         return -1;
     if (!PyList_Check(e->l2_sets) || !PyList_Check(e->l1_lines) ||
@@ -1697,6 +1922,14 @@ Engine_init(EngineObject *e, PyObject *args, PyObject *kwds)
     GETLL("null_fast", null_fast);
     GETLL("has_prefetcher", has_prefetcher);
     GETLL("needs_evict", needs_evict);
+    GETLL("dbcp_fast", dbcp_fast);
+    GETLL("l1_ib", l1_ib);
+    if (e->dbcp_fast) {
+        GETLL("dbcp_sig_mask", dbcp_sig_mask);
+        GETLL("dbcp_set_mask", dbcp_set_mask);
+        GETLL("dbcp_set_bits", dbcp_set_bits);
+        GETLL("dbcp_ways", dbcp_ways);
+    }
 #undef GETLL
     if (get_f(spec, "ls_s", &e->ls_s) < 0 ||
         get_f(spec, "inv_cr", &e->inv_cr) < 0 ||
@@ -1708,6 +1941,14 @@ Engine_init(EngineObject *e, PyObject *args, PyObject *kwds)
     }
     if (e->tcp_fast && (e->pht_sets == NULL || e->tht_hist == NULL)) {
         PyErr_SetString(PyExc_ValueError, "tcp_fast without THT/PHT state");
+        return -1;
+    }
+    if (e->dbcp_fast &&
+        (e->dbcp == NULL || e->lruset == NULL || e->dbcp_live == NULL ||
+         e->dbcp_table == NULL || !PyDict_Check(e->dbcp_live) ||
+         !PyDict_Check(e->dbcp_table))) {
+        PyErr_SetString(PyExc_ValueError,
+                        "dbcp_fast without signature dict and table");
         return -1;
     }
 
@@ -1730,8 +1971,10 @@ Engine_init(EngineObject *e, PyObject *args, PyObject *kwds)
         PyErr_NoMemory();
         return -1;
     }
+    e->dbcp_pending = -1;
     if (l1_load(e) < 0 || sync_in_internal(e) < 0 ||
-        (e->tcp_fast && thtsum_reload(e) < 0))
+        (e->tcp_fast && thtsum_reload(e) < 0) ||
+        (e->dbcp_fast && dbcp_pending_in(e) < 0))
         return -1;
     return 0;
 }
@@ -1773,6 +2016,10 @@ Engine_dealloc(EngineObject *e)
     Py_XDECREF(e->mshr);
     Py_XDECREF(e->memory);
     Py_XDECREF(e->hierarchy);
+    Py_XDECREF(e->dbcp);
+    Py_XDECREF(e->dbcp_live);
+    Py_XDECREF(e->dbcp_table);
+    Py_XDECREF(e->lruset);
     Py_XDECREF(e->ifetch_cb);
     Py_XDECREF(e->observe_cb);
     Py_XDECREF(e->evict_cb);
@@ -1836,6 +2083,7 @@ PyInit__native(void)
     INTERN(s_completions_attr, "_completions");
     INTERN(s_accesses, "accesses");
     INTERN(s_pf_inflight_attr, "_pf_inflight");
+    INTERN(s_pending_attr, "_pending_death_signature");
 #undef INTERN
     if (PyType_Ready(&EngineType) < 0)
         return NULL;
@@ -1848,7 +2096,7 @@ PyInit__native(void)
         Py_DECREF(m);
         return NULL;
     }
-    if (PyModule_AddIntConstant(m, "ABI_VERSION", 2) < 0) {
+    if (PyModule_AddIntConstant(m, "ABI_VERSION", 3) < 0) {
         Py_DECREF(m);
         return NULL;
     }

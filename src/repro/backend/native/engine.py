@@ -13,10 +13,11 @@ flushes the engine's counters into ``hierarchy.stats`` and lets
 exactly the state the reference loop would show at the same mark.
 
 The C code performs the same IEEE double operations in the same order
-as the reference loop, so results stay bit-identical.  The only Python
+as the reference loop, so results stay bit-identical.  The null
+prefetcher, the TCP and DBCP train inside the C loop; the only Python
 re-entries are instruction fetches (the L1I lookup at every fetch-block
-change, the full fetch on an L1I miss), generic (non-TCP, non-null)
-prefetcher hooks, and L1 eviction events.
+change, the full fetch on an L1I miss) and the miss and eviction hooks
+of the other prefetchers.
 """
 
 from __future__ import annotations
@@ -33,11 +34,13 @@ from repro.engine.events import EvictionEvent, MissEvent
 from repro.engine.probes import CoreMark, Probe
 from repro.memory.cache import CacheLine
 from repro.memory.hierarchy import MemoryHierarchy
+from repro.prefetchers.dbcp import DeadBlockCorrelatingPrefetcher
 from repro.prefetchers.null import NullPrefetcher
 from repro.util.bitops import index_geometry
+from repro.util.lruset import LRUSet
 from repro.workloads.trace import Trace
 
-__all__ = ["NativeCore"]
+__all__ = ["NativeCore", "dbcp_fast"]
 
 #: single-slot memo for `_trace_planes` — (key, trace, planes).  One
 #: slot bounds the held memory to a single trace; the pinned trace
@@ -95,12 +98,26 @@ def _trace_planes(trace: Trace, hierarchy: MemoryHierarchy) -> dict:
     return planes
 
 
+def dbcp_fast(prefetcher: object) -> bool:
+    """Whether the C loop runs ``prefetcher``'s hooks as DBCP's.
+
+    Only an exact :class:`DeadBlockCorrelatingPrefetcher` qualifies (a
+    subclass may override a hook), with signatures narrow enough that
+    64-bit sums keep the low bits Python's unbounded ints keep.
+    """
+    return (
+        type(prefetcher) is DeadBlockCorrelatingPrefetcher
+        and prefetcher.config.signature_bits < 64
+    )
+
+
 class NativeCore:
     """Bit-exact replacement for ``OutOfOrderCore`` backed by C.
 
-    Valid for a direct-mapped L1D, no access-stream observers, no L1
-    promotions, and a set-associative L2; requires the ``_native``
-    extension to be importable (see :mod:`repro.backend.native.build`).
+    Valid for a direct-mapped L1D, no access-stream observer other than
+    DBCP, no L1 promotions, and a set-associative L2; requires the
+    ``_native`` extension to be importable (see
+    :mod:`repro.backend.native.build`).
     """
 
     def __init__(self, params: CoreParams = CoreParams()) -> None:
@@ -129,10 +146,12 @@ class NativeCore:
             return CoreResult(0, 0.0, 0)
         if hierarchy._l1_lines is None:
             raise ValueError("NativeCore requires a direct-mapped L1D")
-        if hierarchy._needs_access or hierarchy._promotions_enabled:
+        prefetcher = hierarchy.prefetcher
+        dbcp = dbcp_fast(prefetcher)
+        if (hierarchy._needs_access and not dbcp) or hierarchy._promotions_enabled:
             raise ValueError(
-                "NativeCore cannot model access-stream observers or L1 "
-                "promotions (use the python backend)"
+                "NativeCore cannot model access-stream observers other than "
+                "DBCP or L1 promotions (use the python backend)"
             )
         if hierarchy.l2d._direct_mapped:
             raise ValueError("NativeCore requires a set-associative L2")
@@ -153,7 +172,6 @@ class NativeCore:
         l1_ib = hierarchy._l1_index_bits
         hier_stats = hierarchy.stats
 
-        prefetcher = hierarchy.prefetcher
         pstats = prefetcher.stats if prefetcher is not None else None
         null_fast = type(prefetcher) is NullPrefetcher
         tcp_fast = (
@@ -187,6 +205,20 @@ class NativeCore:
                 "tht_ib": 0,
                 "pht_ways": 0,
                 "pht_targets": 0,
+            }
+
+        spec_dbcp = {}
+        if dbcp:
+            dbcp_sets = prefetcher.config.sets
+            spec_dbcp = {
+                "dbcp": prefetcher,
+                "dbcp_live": prefetcher._live_signatures,
+                "dbcp_table": prefetcher._table,
+                "lruset": LRUSet,
+                "dbcp_sig_mask": prefetcher._sig_mask,
+                "dbcp_set_mask": dbcp_sets - 1,
+                "dbcp_set_bits": dbcp_sets.bit_length() - 1,
+                "dbcp_ways": prefetcher.config.ways,
             }
 
         resident: set = set()  # L1I-resident fetch blocks (shared with C)
@@ -245,7 +277,10 @@ class NativeCore:
             "null_fast": int(null_fast),
             "has_prefetcher": int(prefetcher is not None),
             "needs_evict": int(hierarchy._needs_evict),
+            "dbcp_fast": int(dbcp),
+            "l1_ib": l1_ib,
             **spec_tcp,
+            **spec_dbcp,
         })
 
         ifetch = hierarchy.instruction_fetch
@@ -288,7 +323,9 @@ class NativeCore:
             hier_stats.stores += d["stores"]
             hier_stats.l1_hits += d["hits"]
             hier_stats.ifetch_accesses += d["ifetch"]
-            if d["l1m"]:
+            # DBCP can prefetch on a hit, so a span without misses may
+            # still have issued prefetches.
+            if d["l1m"] or d["pfr"]:
                 hier_stats.l1_misses += d["l1m"]
                 hier_stats.l2_demand_accesses += d["l2a"]
                 hier_stats.l2_demand_hits += d["l2h"]
@@ -304,11 +341,14 @@ class NativeCore:
                 hier_stats.prefetch_dropped_queue += d["pfdq"]
                 hier_stats.prefetch_dropped_busy += d["pfdb"]
                 hier_stats.prefetch_evicted_unused += d["pfev"]
-                if tcp_fast or null_fast:
+                if tcp_fast or null_fast or dbcp:
                     pstats.lookups += d["pfl"]
-                if tcp_fast:
+                if tcp_fast or dbcp:
                     pstats.updates += d["pfu"]
                     pstats.predictions += d["pfp"]
+                if dbcp:
+                    prefetcher.dead_predictions += d["pfp"]
+                if tcp_fast:
                     tht.reads += d["tl"]
                     tht.pushes += d["tp"]
                     pht.updates += d["pu"]

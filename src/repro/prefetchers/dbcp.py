@@ -27,6 +27,9 @@ either DBCP or TCP".
 Storage accounting: with the default geometry the table holds 2 MB of
 (signature-tag, successor) pairs, plus the per-frame signature
 registers, so the Figure 11 budget comparison (8 KB vs 2 MB) is honest.
+The simulator builds a table set only when it is first written: an
+absent set behaves exactly like an empty one, so a cold 2 MB table
+costs nothing to construct or clear.
 """
 
 from __future__ import annotations
@@ -79,9 +82,8 @@ class DeadBlockCorrelatingPrefetcher(Prefetcher):
         super().__init__("dbcp")
         self.config = config
         self._sig_mask = mask(config.signature_bits)
-        self._table: List[LRUSet[int, int]] = [
-            LRUSet(config.ways) for _ in range(config.sets)
-        ]
+        #: set index -> set, built on the set's first write.
+        self._table: Dict[int, LRUSet[int, int]] = {}
         #: running signature of each resident L1 block, keyed by block number.
         self._live_signatures: Dict[int, int] = {}
         #: death signature waiting to learn its successor (set on
@@ -95,12 +97,17 @@ class DeadBlockCorrelatingPrefetcher(Prefetcher):
 
     def _probe(self, signature: int) -> Optional[int]:
         """Look up a death signature; return the correlated successor."""
-        lru = self._table[signature & (self.config.sets - 1)]
+        lru = self._table.get(signature & (self.config.sets - 1))
+        if lru is None:
+            return None
         return lru.get(signature >> (self.config.sets.bit_length() - 1))
 
     def _learn(self, signature: int, successor: int) -> None:
         """Store ``death_signature -> successor block``."""
-        lru = self._table[signature & (self.config.sets - 1)]
+        index = signature & (self.config.sets - 1)
+        lru = self._table.get(index)
+        if lru is None:
+            lru = self._table[index] = LRUSet(self.config.ways)
         lru.put(signature >> (self.config.sets.bit_length() - 1), successor)
 
     def observe_access(self, access: AccessEvent) -> List[PrefetchRequest]:
@@ -142,8 +149,7 @@ class DeadBlockCorrelatingPrefetcher(Prefetcher):
 
     def reset(self) -> None:
         super().reset()
-        for lru in self._table:
-            lru.clear()
+        self._table.clear()
         self._live_signatures.clear()
         self._pending_death_signature = None
         self.dead_predictions = 0

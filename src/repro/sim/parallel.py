@@ -31,7 +31,6 @@ moving on.  ``jobs=1`` without a time limit runs them in this process.
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import time
@@ -51,7 +50,7 @@ from repro.sim.resilience import (
     shutdown_requested,
 )
 from repro.sim.results import SimResult, validate_result
-from repro.sim.runner import _RESULT_CACHE, simulate
+from repro.sim.runner import _RESULT_CACHE, _warn_store_degraded, simulate
 from repro.workloads import BENCHMARK_ORDER, SUITE, Scale, cache_trace
 from repro.workloads import io as trace_io
 
@@ -65,21 +64,29 @@ _WALL_BUCKETS = tuple(0.001 * 2**i for i in range(24))
 
 
 def _job_key(job: Job) -> str:
-    workload, config, accesses = job
-    return f"{workload}/{config.resolved_label()}@{accesses}"
+    """``workload/label@accesses``; a mix cell adds its config
+    fingerprint, since a label ignores the core count and the mix.
 
-
-def _run_job(job: Job, use_cache: bool = False) -> SimResult:
-    """Worker entry point: run one simulation, return its result.
-
-    Runs uncached by default: the parent — not the worker — installs
-    the result into the cache and the store.  An in-process campaign
-    *is* the parent and runs cached, checkpointing each result as it
-    lands.  The raw access count is passed straight through, so
-    campaigns at custom scales (any positive count) work.
+    Without it a 1-core mix named after a benchmark (``--mix fma3d``)
+    would share its key with that benchmark's solo cell.
     """
     workload, config, accesses = job
-    return simulate(workload, config, accesses, use_cache=use_cache)
+    key = f"{workload}/{config.resolved_label()}@{accesses}"
+    if config.mix is not None:
+        key += f"#{store_mod.config_fingerprint(config)}"
+    return key
+
+
+def _run_job(job: Job) -> SimResult:
+    """Worker entry point: run one simulation, return its result.
+
+    Runs uncached: the parent — not the worker — installs the result
+    into the cache and the store.  The raw access count is passed
+    straight through, so campaigns at custom scales (any positive
+    count) work.
+    """
+    workload, config, accesses = job
+    return simulate(workload, config, accesses, use_cache=False)
 
 
 def _expected_cost(name: str, njobs: int) -> float:
@@ -265,6 +272,21 @@ def prewarm_cells(
     pending = _affinity_order(pending)
 
     by_key = {_job_key(job): job for job in pending}
+    installed: set = set()
+
+    def install(job_key: str, result: SimResult) -> None:
+        # Into the in-process cache and the store as the result
+        # arrives, before the campaign counts or prints it: a killed
+        # campaign keeps every cell it reported done.
+        workload, config, n_accesses = by_key[job_key]
+        with obs_spans.span("install", key=job_key):
+            _RESULT_CACHE[(workload, n_accesses, config)] = result
+            if store is not None:
+                store.put(workload, n_accesses, config, result)
+                if store.degraded:
+                    _warn_store_degraded(store)
+        installed.add(job_key)
+
     heartbeat = None
     if store is not None:
         # Fold worker heartbeats into coarse checkpoint markers: write
@@ -392,7 +414,7 @@ def prewarm_cells(
 
             return run_supervised(
                 batch,
-                functools.partial(_run_job, use_cache=True) if in_process else _run_job,
+                _run_job,
                 workers=jobs,
                 policy=policy,
                 key=_job_key,
@@ -403,6 +425,7 @@ def prewarm_cells(
                 in_process=in_process,
                 group=lambda job: job[0],
                 span=span_cb,
+                on_result=install,
             )
 
         if host_specs:
@@ -425,14 +448,11 @@ def prewarm_cells(
         else:
             report.merge(_local_run(pending))
 
-        # Install successes into the in-process cache and checkpoint
-        # them (inside the campaign span: persisting is campaign work).
-        with obs_spans.span("install", results=report.executed):
-            for job_key, result in report.completed.items():
-                workload, config, n_accesses = by_key[job_key]
-                _RESULT_CACHE[(workload, n_accesses, config)] = result
-                if store is not None and not in_process:
-                    store.put(workload, n_accesses, config, result)
+        # Fleet agents checkpointed their results in host shards; the
+        # local runs installed theirs as they arrived.
+        for job_key, result in report.completed.items():
+            if job_key not in installed:
+                install(job_key, result)
         if store is not None and host_specs:
             # Fold the fleet's host shards into the main log (deduped by
             # config fingerprint; the main log wins ties) and drop them.

@@ -843,6 +843,7 @@ def _run_in_process(
     validate: Optional[Callable[[Any], None]],
     progress: Optional[Callable[[int, int, str, str], None]],
     heartbeat: Optional[Callable[[str, int, int, float], None]] = None,
+    on_result: Optional[Callable[[str, Any], None]] = None,
 ) -> CampaignReport:
     """Serial path: no start method exists, or the caller asked for it.
 
@@ -911,6 +912,8 @@ def _run_in_process(
                         raise
                     except Exception as exc:
                         raise CorruptResult(f"{job_key}: {exc}") from exc
+                if on_result is not None:
+                    on_result(job_key, result)
                 report.completed[job_key] = result
                 break
             except CampaignInterrupted:
@@ -1108,6 +1111,7 @@ def run_supervised(
     in_process: bool = False,
     group: Optional[Callable[[Any], str]] = None,
     span: Optional[Callable[[Dict[str, Any]], None]] = None,
+    on_result: Optional[Callable[[str, Any], None]] = None,
 ) -> CampaignReport:
     """Run ``run_one`` over ``jobs`` under supervision; never raises.
 
@@ -1142,7 +1146,11 @@ def run_supervised(
 
     ``validate`` (if given) runs in the parent on every returned
     result; a validation error is classified :class:`CorruptResult`
-    and retried like any other failure.  ``child_setup`` runs first
+    and retried like any other failure.  ``on_result`` (if given) is
+    called in the parent as ``(key, result)`` for every validated
+    result, before the job counts as completed or reaches
+    ``progress``: campaigns checkpoint there, so a killed campaign
+    keeps every job it reported done.  ``child_setup`` runs first
     inside every worker (campaigns use it to silence per-worker store
     writes).  ``progress`` is called as ``(done, total, key, status)``
     after each job settles.  ``in_process=True`` runs the jobs serially
@@ -1167,7 +1175,9 @@ def run_supervised(
 
     context = None if in_process else supervision_context()
     if context is None:
-        return _run_in_process(jobs, run_one, key, policy, validate, progress, heartbeat)
+        return _run_in_process(
+            jobs, run_one, key, policy, validate, progress, heartbeat, on_result
+        )
 
     workers = min(default_workers(workers), len(jobs))
     report = CampaignReport()
@@ -1261,6 +1271,8 @@ def run_supervised(
                 return
         worker.current = None
         worker.deadline = None
+        if on_result is not None:
+            on_result(job_key, result)
         report.completed[job_key] = result
         if progress is not None:
             progress(report.executed + report.failed, total, job_key, "ok")

@@ -12,7 +12,7 @@ This module exercises the contract where it is most likely to break:
 * the native run's structure — one C range per span, window and LSQ
   stalls, MSHR merges into in-flight misses, warmup snapshots landing
   mid-run, probes observing identical progress marks, probe marks
-  leaving results untouched, the in-C null-prefetcher path;
+  leaving results untouched, the in-C null-prefetcher and DBCP paths;
 * composition with the sanitizer (``REPRO_SANITIZE=full`` and injected
   state corruptions) — checking runs bit-identical to unchecked ones,
   corruption still caught behind the C loop's mirrored state;
@@ -42,10 +42,12 @@ from repro.backend import (
 from repro.backend import native as native_mod
 from repro.backend.native import build as native_build
 from repro.cpu.core import CoreParams, OutOfOrderCore
-from repro.engine.probes import ProgressProbe
+from repro.engine.probes import Probe, ProgressProbe
 from repro.memory import MemoryHierarchy
+from repro.prefetchers.dbcp import DeadBlockCorrelatingPrefetcher
 from repro.prefetchers.null import NullPrefetcher
 from repro.sim import SimulationConfig, sanitizer as sanitizer_mod, simulate
+from repro.sim.config import PREFETCHERS
 from repro.sim.resilience import InvariantViolation
 from repro.sim.runner import clear_cache
 from repro.sim.sanitizer import schedule_state_corruption
@@ -388,6 +390,85 @@ class TestNullPrefetcherPath:
         assert machine.prefetcher.stats.lookups == machine.stats.l1_misses - machine.stats.mshr_merges
 
 
+class _DBCPStateProbe(Probe):
+    """Records DBCP's live state and the hierarchy counters at every
+    mark: the C loop must leave the reference's record at each one."""
+
+    def __init__(self, interval):
+        self.interval = interval
+        self.marks = []
+
+    def on_mark(self, mark, hierarchy):
+        dbcp = hierarchy.prefetcher
+        self.marks.append((
+            mark.done,
+            hierarchy.stats.snapshot(),
+            dict(dbcp._live_signatures),
+            {index: list(lru.items()) for index, lru in dbcp._table.items()},
+            dbcp._pending_death_signature,
+            dbcp.dead_predictions,
+            dataclasses.astuple(dbcp.stats),
+        ))
+
+
+def _dbcp_state(dbcp):
+    return (
+        dbcp._live_signatures,
+        {index: list(lru.items()) for index, lru in dbcp._table.items()},
+        dbcp._pending_death_signature,
+        dbcp.dead_predictions,
+        dbcp.stats,
+    )
+
+
+class TestDBCPPath:
+    """DBCP-2M, the paper's comparator, trains inside the C loop."""
+
+    def test_dbcp_never_reenters_its_python_hooks(self, monkeypatch):
+        if native_build.load() is None:
+            pytest.skip(f"native extension unavailable ({native_build.load_error()})")
+        trace = generate("mcf", Scale.QUICK)
+        config = SimulationConfig.for_prefetcher("dbcp-2m")
+        ref = MemoryHierarchy(config.hierarchy)
+        ref.attach_prefetcher(config.build_prefetcher())
+        ref_result = get_backend("python").run(trace, ref, config.core)
+
+        def refuse(self, event):
+            raise AssertionError("a DBCP hook re-entered the interpreter")
+
+        for hook in ("observe_access", "observe_miss", "observe_eviction"):
+            monkeypatch.setattr(DeadBlockCorrelatingPrefetcher, hook, refuse)
+        machine = MemoryHierarchy(config.hierarchy)
+        machine.attach_prefetcher(config.build_prefetcher())
+        backend = NativeBackend()
+        result = backend.run(trace, machine, config.core)
+        assert "fallback" not in backend.last_engine_stats
+        assert result == ref_result
+        assert machine.stats == ref.stats
+        assert machine.stats.prefetches_issued > 0
+        assert _dbcp_state(machine.prefetcher) == _dbcp_state(ref.prefetcher)
+
+    def test_live_state_matches_at_every_mark(self):
+        """Marks every 64 accesses split the run into spans, many of
+        them without a miss (DBCP can prefetch on a hit), and sync the
+        pending death signature out and back in at each."""
+        trace = generate("mcf", Scale.QUICK)
+        config = SimulationConfig.for_prefetcher("dbcp-2m")
+        probes = {name: [_DBCPStateProbe(64)] for name in ("python",) + CONTENDERS}
+        results, machines = _run_pair(
+            trace, config, warmup=len(trace) // 4, probes=probes
+        )
+        _assert_identical(results, machines)
+        ref_marks = probes["python"][0].marks
+        assert len(ref_marks) == len(trace) // 64
+        for name in CONTENDERS:
+            assert probes[name][0].marks == ref_marks, name
+            assert machines[name].warmup_stats == machines["python"].warmup_stats
+            assert (_dbcp_state(machines[name].prefetcher)
+                    == _dbcp_state(machines["python"].prefetcher))
+        assert machines["python"].stats.prefetches_issued > 0
+
+
 class TestSanitizerComposition:
     """``--sanitize full`` + ``--backend native`` compose."""
 
@@ -421,17 +502,23 @@ class TestSanitizerComposition:
         assert excinfo.value.invariant == invariant
 
 
+class _SubclassedDBCP(DeadBlockCorrelatingPrefetcher):
+    """An access observer the C loop does not know: a subclass may
+    override any hook, so only the exact DBCP class trains in C."""
+
+
 class TestFallbacks:
     """Configurations the C loop does not model run on the reference
     loop — with a one-line warning, never a wrong result."""
 
     @pytest.mark.parametrize("label,reason", (
-        ("dbcp-2m", "prefetcher observes the access stream"),
+        ("dbcp-subclass", "prefetcher observes the access stream"),
         ("hybrid-8k", "gated L1 promotions"),
     ))
     def test_fallback_reason_reported(self, label, reason, monkeypatch):
         """Through the runner: warned, recorded on the SimResult, and
         bit-identical to the reference."""
+        monkeypatch.setitem(PREFETCHERS, "dbcp-subclass", _SubclassedDBCP)
         monkeypatch.setattr(native_mod, "_WARNED_FALLBACKS", set())
         config = SimulationConfig.for_prefetcher(label)
         ref = simulate("swim", config, Scale.QUICK, use_cache=False)
@@ -443,6 +530,24 @@ class TestFallbacks:
                 use_cache=False,
             )
         assert new.backend_fallback == reason
+        assert dataclasses.asdict(new) == dataclasses.asdict(ref)
+
+    def test_dbcp_runs_on_the_c_loop(self):
+        """Through the runner: no warning, no recorded fallback, and
+        bit-identical to the reference."""
+        if native_build.load() is None:
+            pytest.skip(f"native extension unavailable ({native_build.load_error()})")
+        config = SimulationConfig.for_prefetcher("dbcp-2m")
+        ref = simulate("swim", config, Scale.QUICK, use_cache=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            new = simulate(
+                "swim",
+                dataclasses.replace(config, backend="native"),
+                Scale.QUICK,
+                use_cache=False,
+            )
+        assert new.backend_fallback is None
         assert dataclasses.asdict(new) == dataclasses.asdict(ref)
 
     def test_fallback_warns_once_per_process(self, monkeypatch):
@@ -466,10 +571,11 @@ class TestNativeFallbacks:
     loop — loud once, then silent, never wrong."""
 
     @pytest.mark.parametrize("label,reason", (
-        ("dbcp-2m", "prefetcher observes the access stream"),
+        ("dbcp-subclass", "prefetcher observes the access stream"),
         ("hybrid-8k", "gated L1 promotions"),
     ))
     def test_config_fallback_reason_reported(self, label, reason, monkeypatch):
+        monkeypatch.setitem(PREFETCHERS, "dbcp-subclass", _SubclassedDBCP)
         monkeypatch.setattr(native_mod, "_WARNED_FALLBACKS", set())
         trace = generate("swim", Scale.QUICK)
         config = SimulationConfig.for_prefetcher(label)
@@ -479,6 +585,19 @@ class TestNativeFallbacks:
         with pytest.warns(RuntimeWarning, match=reason):
             backend.run(trace, machine, config.core)
         assert backend.last_engine_stats == {"fallback": reason}
+
+    def test_dbcp_records_no_fallback(self):
+        if native_build.load() is None:
+            pytest.skip(f"native extension unavailable ({native_build.load_error()})")
+        trace = generate("swim", Scale.QUICK)
+        config = SimulationConfig.for_prefetcher("dbcp-2m")
+        machine = MemoryHierarchy(config.hierarchy)
+        machine.attach_prefetcher(config.build_prefetcher())
+        backend = NativeBackend()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            backend.run(trace, machine, config.core)
+        assert "fallback" not in backend.last_engine_stats
 
     def test_unavailable_extension_falls_back_to_python(self, monkeypatch):
         """With the extension refused (``REPRO_NATIVE=0``) the native

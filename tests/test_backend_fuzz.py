@@ -13,6 +13,12 @@ under every paper configuration (26 x 6 = 156 runs at QUICK scale per
 contender), compared across backends.  That is minutes of work, so it
 only runs when ``REPRO_BACKEND_ORACLE=1`` is set — CI and pre-release
 checks opt in; the default tier-1 run keeps the fuzz tests only.
+
+At QUICK scale DBCP-2M barely predicts (0 prefetches on gcc, 33 on
+mcf), so the oracle hardly reaches its predict/issue path.  The DBCP
+differential therefore runs at STANDARD scale, where it prefetches
+thousands of blocks: mcf in tier-1, swim and gcc as well under
+``REPRO_BACKEND_ORACLE=1``.
 """
 
 import dataclasses
@@ -32,13 +38,18 @@ from repro.sim import SimulationConfig, simulate
 from repro.sim.runner import clear_cache
 from repro.workloads import BENCHMARK_ORDER, Scale, Trace
 
-#: prefetcher labels the fuzz cycles through — the C loop's null, generic
-#: and TCP training paths (none/nextline/tcp-8k) plus one fallback
-#: config (hybrid-8k) so the reference-loop delegation is fuzzed too.
-FUZZ_LABELS = ("none", "nextline", "tcp-8k", "hybrid-8k")
+#: prefetcher labels the fuzz cycles through — the C loop's null, generic,
+#: TCP and DBCP training paths (none/nextline/tcp-8k/dbcp-2m) plus one
+#: fallback config (hybrid-8k) so the reference-loop delegation is
+#: fuzzed too.
+FUZZ_LABELS = ("none", "nextline", "tcp-8k", "dbcp-2m", "hybrid-8k")
 
 #: the oracle grid: the paper's headline configurations.
 ORACLE_LABELS = ("none", "nextline", "tcp-8k", "tcp-8m", "dbcp-2m", "hybrid-8k")
+
+#: STANDARD-scale DBCP differential cells; all but mcf need the oracle
+#: opt-in.
+DBCP_BENCHES = ("swim", "mcf", "gcc")
 
 #: every backend compared against the reference.  ``native`` stays in
 #: the grid even when the extension is missing — those cells skip with
@@ -131,3 +142,44 @@ def test_oracle_cell(bench, label, contender):
             use_cache=False,
         )
     assert dataclasses.asdict(new) == dataclasses.asdict(ref)
+
+
+@pytest.mark.parametrize("contender", CONTENDERS)
+@pytest.mark.parametrize("bench", DBCP_BENCHES)
+def test_dbcp_standard_scale_differential(bench, contender, monkeypatch):
+    """DBCP-2M where it actually predicts: the SimResult, DBCP's own
+    counters and the hierarchy counters are bit-identical, and the
+    contender issued prefetches on the C path (no fallback)."""
+    if bench != "mcf" and os.environ.get("REPRO_BACKEND_ORACLE") != "1":
+        pytest.skip("set REPRO_BACKEND_ORACLE=1 for the swim and gcc cells")
+    _require(contender)
+    names = ("python", contender)
+    machines = {}
+    for name in names:
+        # keep the machine the runner builds, for its prefetcher
+        cls = type(get_backend(name))
+
+        def spy(self, trace, hierarchy, *args, _name=name, _run=cls.run, **kwargs):
+            machines[_name] = hierarchy
+            return _run(self, trace, hierarchy, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "run", spy)
+    config = SimulationConfig.for_prefetcher("dbcp-2m")
+    clear_cache()
+    results = {
+        name: simulate(
+            bench,
+            dataclasses.replace(config, backend=name),
+            Scale.STANDARD,
+            use_cache=False,
+        )
+        for name in names
+    }
+    ref, new = results["python"], results[contender]
+    assert new.backend_fallback is None
+    assert dataclasses.asdict(new) == dataclasses.asdict(ref)
+    assert machines[contender].stats == machines["python"].stats
+    dbcp, ref_dbcp = machines[contender].prefetcher, machines["python"].prefetcher
+    assert dbcp.dead_predictions == ref_dbcp.dead_predictions
+    assert dbcp.stats == ref_dbcp.stats
+    assert new.memory.prefetches_issued > 0

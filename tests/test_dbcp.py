@@ -86,10 +86,25 @@ class TestCorrelation:
         requests = prefetcher.observe_access(touch(5, 0x1000, hit=False))
         assert not requests
 
+    def test_table_sets_are_built_on_first_write(self):
+        """The 2 MB table starts empty; a probe of an unwritten set
+        predicts nothing and builds nothing; learning builds one set."""
+        prefetcher = DeadBlockCorrelatingPrefetcher()
+        assert prefetcher._table == {}
+        assert not prefetcher.observe_access(touch(5, 0x1000, hit=False))
+        prefetcher.observe_miss(miss(5, 0x1000))
+        assert prefetcher._table == {}
+        prefetcher.observe_eviction(evict(5))
+        prefetcher.observe_access(touch(7, 0x9999, hit=False))
+        prefetcher.observe_miss(miss(7, 0x9999))
+        (lru,) = prefetcher._table.values()
+        assert list(lru.items()) == [((5 + 0x1000) >> 15, 7)]
+
     def test_reset(self):
         prefetcher = DeadBlockCorrelatingPrefetcher(DBCPConfig(sets=256, ways=4))
         self._generation(prefetcher, block=5, pcs=[0x1000, 0x1008], successor=7)
         prefetcher.reset()
+        assert prefetcher._table == {}
         prefetcher.observe_access(touch(5, 0x1000, hit=False))
         prefetcher.observe_miss(miss(5, 0x1000))
         requests = prefetcher.observe_access(touch(5, 0x1008, hit=True))

@@ -1,5 +1,12 @@
 """Tests for the parallel result-cache prewarmer (repro.sim.parallel)."""
 
+import os
+import re
+import signal
+import subprocess
+import sys
+import time
+
 import pytest
 
 from repro.experiments import EXPERIMENTS, run_experiment
@@ -67,6 +74,27 @@ class TestPrewarm:
         monkeypatch.setattr(mix_runner, "execute_mix", refuse)
         run_experiment(name, Scale.QUICK, BENCHES, mix="fma3d+eon")
 
+    def test_one_core_mix_named_after_a_benchmark_keeps_both_cells(self, monkeypatch):
+        """A 1-core mix named after a benchmark shares workload name
+        and label with that benchmark's solo cell; one campaign still
+        simulates and installs both."""
+        from repro.experiments.registry import cells
+        from repro.multicore import runner as mix_runner
+        from repro.sim import runner
+
+        clear_cache()
+        grid = cells(["mix"], mix="fma3d")
+        report = prewarm_cells(grid, Scale.QUICK, jobs=2)
+        assert report.ok
+        assert report.executed == len(grid)
+
+        def refuse(*args):
+            raise AssertionError("mix simulated outside its campaign")
+
+        monkeypatch.setattr(runner, "_execute", refuse)
+        monkeypatch.setattr(mix_runner, "execute_mix", refuse)
+        run_experiment("mix", Scale.QUICK, mix="fma3d")
+
     def test_success_count_excludes_failures(self, monkeypatch):
         """The report never counts a failed job as executed."""
         from repro.sim import resilience
@@ -127,3 +155,48 @@ class TestPlatformFallbacks:
         report = prewarm([SimulationConfig.baseline()], Scale.QUICK, BENCHES, jobs=2)
         assert report.executed == 2
         assert report.ok
+
+
+class TestKilledCampaign:
+    def test_sigkill_keeps_every_cell_reported_ok(self, tmp_path):
+        """A pool campaign killed with SIGKILL after N ``: ok`` lines
+        leaves at least N records: the parent checkpoints each result
+        before it prints the cell as done."""
+        store_dir = tmp_path / "store"
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"),
+        )
+        for name in [k for k in env if k.startswith("REPRO_")]:
+            del env[name]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.experiments.cli", "run", "fig1",
+             "--scale", "quick", "--benchmarks", "swim", "mcf", "gcc", "ammp",
+             "--jobs", "2", "--store-dir", str(store_dir)],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env=env, start_new_session=True,
+        )
+        ok_lines = 0
+        try:
+            deadline = time.monotonic() + 120.0
+            while ok_lines < 3 and time.monotonic() < deadline:
+                line = proc.stdout.readline()
+                if not line:
+                    raise AssertionError("campaign exited before it could be killed")
+                ok_lines += line.rstrip().endswith(": ok")
+            assert ok_lines == 3, "campaign made no progress in time"
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.stdout.read()
+            proc.wait(timeout=30)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        status = subprocess.run(
+            [sys.executable, "-m", "repro.experiments.cli", "store", "status",
+             "--store-dir", str(store_dir)],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env=env, check=True,
+        ).stdout
+        records = int(re.search(r"records:\s+(\d+)", status).group(1))
+        assert records >= ok_lines, status
